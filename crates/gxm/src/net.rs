@@ -30,6 +30,7 @@ use crate::ops;
 use crate::pipeline::{compile, fwd_last_use, Etg, PassKind};
 use crate::spec::{NodeSpec, PoolKind};
 use crate::state::StateDict;
+use conv::fuse::FuseCtx;
 use conv::{ConvLayer, FusedOp, LayerOptions, PlanCache, Precision};
 use parallel::ThreadPool;
 use std::collections::HashMap;
@@ -119,21 +120,33 @@ struct FoldedConv {
 /// absolute-maximum estimate. A conv node carries one iff the network
 /// runs at [`Precision::Int8`] *and* its input amax is known (derived
 /// from BN parameters or measured by calibration) — otherwise the node
-/// falls back to its f32 plan, with the quantize-on-entry /
-/// requantize-in-APPLY convention keeping every blob between nodes
-/// plain f32 (the explicit precision boundary of mixed graphs).
+/// falls back to its f32 plan. Every blob between nodes stays plain
+/// f32 (requantized in the producer's APPLY); a blob with an int8
+/// consumer additionally gets an int16 image, see [`ImagePlan`].
 struct QuantState {
     /// int8 weights with the input scales pre-folded per channel.
     wq: VnniFilter,
     /// Per-output-channel requant multiplier (`kb·VLEN` lanes).
     mult: Vec<f32>,
-    /// Per-input-channel quantization factor `127/amax` (1.0 for
-    /// degenerate all-zero channels — safe, never NaN/inf).
-    inv_sx: Vec<f32>,
     /// All-zero bias for plans whose f32 fuse carries no bias source:
     /// the quantized plan still runs a bias-bearing APPLY (the requant
     /// pass must visit every tile), so a neutral vector stands in.
     zero_bias: Option<Vec<f32>>,
+}
+
+/// The int16 image of an owner node's blob — what int8 convolutions
+/// read instead of the f32 tensor. A node carries one iff an int8
+/// convolution consumes its blob: the scales are a property of the
+/// blob, so one pooled pass right after the node executes quantizes it
+/// for however many convolutions read it. Rebuilt by `requantize`.
+struct ImagePlan {
+    /// Index into `Network::images`: buffers are shared between blobs
+    /// of one geometry whose image lifetimes (producer → last int8
+    /// consumer) do not overlap.
+    buf: usize,
+    /// Per-channel quantization factor `127/amax` (1.0 for degenerate
+    /// all-zero channels — safe, never NaN/inf).
+    inv_sx: Vec<f32>,
 }
 
 #[allow(dead_code)]
@@ -488,6 +501,34 @@ impl GraphPlan {
     }
 }
 
+/// Exact physical geometry `(n, c, h, w, pad)` of an activation buffer.
+type Geom = (usize, usize, usize, usize, usize);
+
+/// Buffer indices handed out per exact geometry and recycled through a
+/// free list — the allocator both liveness scans (f32 slots, int16
+/// images) run on.
+#[derive(Default)]
+struct GeomPool {
+    /// Geometry of every buffer minted so far, by index.
+    geoms: Vec<Geom>,
+    free: HashMap<Geom, Vec<usize>>,
+}
+
+impl GeomPool {
+    /// A free buffer of this geometry, or a new index.
+    fn take(&mut self, geom: Geom) -> usize {
+        self.free.get_mut(&geom).and_then(|v| v.pop()).unwrap_or_else(|| {
+            self.geoms.push(geom);
+            self.geoms.len() - 1
+        })
+    }
+
+    /// Return buffer `idx` for reuse.
+    fn release(&mut self, idx: usize) {
+        self.free.entry(self.geoms[idx]).or_default().push(idx);
+    }
+}
+
 /// Inference memory plan: walk the forward schedule, hand every
 /// blob-owning node a slot, and return a node's slot to the free pool
 /// of its geometry once its last consumer has executed — so e.g. the
@@ -504,7 +545,6 @@ impl GraphPlan {
 /// loaded through `input_mut` stays valid across repeated forwards,
 /// the same contract training mode provides.
 fn assign_slots_inference(plan: &GraphPlan, minibatch: usize) -> (Vec<usize>, Vec<Option<Blob>>) {
-    type Geom = (usize, usize, usize, usize, usize);
     let nodes_len = plan.etg.eng.nodes.len();
     let last = fwd_last_use(&plan.etg, &plan.alias);
     let geom_of = |i: usize| -> Geom {
@@ -512,23 +552,14 @@ fn assign_slots_inference(plan: &GraphPlan, minibatch: usize) -> (Vec<usize>, Ve
         (minibatch, c, h, w, plan.out_pad(i))
     };
     let mut slot_of = vec![usize::MAX; nodes_len];
-    let mut slot_geom: Vec<Geom> = Vec::new();
-    let mut free: HashMap<Geom, Vec<usize>> = HashMap::new();
+    let mut slots = GeomPool::default();
     for (pos, t) in plan.etg.fwd.iter().enumerate() {
         let node = t.node;
         if plan.alias[node] != node || !plan.owns_blob(node) {
             // alias nodes and the loss head own no storage; their
             // inputs still die here, so fall through to the release
         } else {
-            let geom = geom_of(node);
-            let slot = match free.get_mut(&geom).and_then(|v| v.pop()) {
-                Some(s) => s,
-                None => {
-                    slot_geom.push(geom);
-                    slot_geom.len() - 1
-                }
-            };
-            slot_of[node] = slot;
+            slot_of[node] = slots.take(geom_of(node));
         }
         // release every distinct input blob whose last use is here
         // (except the pinned network-input slot)
@@ -540,10 +571,11 @@ fn assign_slots_inference(plan: &GraphPlan, minibatch: usize) -> (Vec<usize>, Ve
         dying.sort_unstable();
         dying.dedup();
         for o in dying {
-            free.entry(geom_of(o)).or_default().push(slot_of[o]);
+            slots.release(slot_of[o]);
         }
     }
-    let blobs = slot_geom
+    let blobs = slots
+        .geoms
         .into_iter()
         .map(|(n, c, h, w, pad)| {
             Some(Blob { act: BlockedActs::zeros(n, c, h, w, pad), grad: None })
@@ -592,9 +624,11 @@ pub struct Network {
     /// `true` while a calibration forward runs: forces the f32 path so
     /// the recorded maxima describe the unquantized distribution.
     calibrating: bool,
-    /// Reusable int16 activation scratch, one per distinct input-blob
-    /// geometry `(n, c, h, w, pad)` seen by quantized convs.
-    quant_scratch: HashMap<(usize, usize, usize, usize, usize), VnniActs>,
+    /// Per-owner-node int16 image (`Some` iff an int8 conv reads the
+    /// node's blob); rebuilt by `requantize`.
+    image_plan: Vec<Option<ImagePlan>>,
+    /// int16 image storage, indexed by [`ImagePlan::buf`].
+    images: Vec<VnniActs>,
 }
 
 impl Network {
@@ -843,7 +877,8 @@ impl Network {
             derived_amax: vec![None; nodes_len],
             calibrated_amax: vec![None; nodes_len],
             calibrating: false,
-            quant_scratch: HashMap::new(),
+            image_plan: (0..nodes_len).map(|_| None).collect(),
+            images: Vec::new(),
         };
         // derive the folded weights/biases from the freshly
         // initialized parameters (no-op without folds)
@@ -972,21 +1007,14 @@ impl Network {
             return;
         }
         self.derived_amax = self.derive_amax();
+        self.image_plan.iter_mut().for_each(|p| *p = None);
         for i in 0..self.layers.len() {
-            let LayerState::Conv { layer, w, bias, folded, .. } = &self.layers[i] else {
-                self.quant[i] = None;
-                continue;
-            };
-            let Some(qplan) = layer.quant_plan() else {
-                self.quant[i] = None;
-                continue;
-            };
+            self.quant[i] = None;
+            let LayerState::Conv { layer, w, bias, folded, .. } = &self.layers[i] else { continue };
+            let Some(qplan) = layer.quant_plan() else { continue };
             let bi = self.alias[self.etg.eng.preds[i][0]];
             let amax = self.calibrated_amax[bi].as_ref().or(self.derived_amax[bi].as_ref());
-            let Some(amax) = amax else {
-                self.quant[i] = None;
-                continue;
-            };
+            let Some(amax) = amax else { continue };
             // s_x = amax/127 per input channel; a degenerate (all-zero
             // or non-finite) channel gets the neutral scale 1.0 — its
             // activations are 0 (or garbage no scale could save), and
@@ -995,7 +1023,6 @@ impl Network {
                 .iter()
                 .map(|&a| if a > 0.0 && a.is_finite() { a / I8_QMAX } else { 1.0 })
                 .collect();
-            let inv_sx: Vec<f32> = s_x.iter().map(|&s| 1.0 / s).collect();
             let wsrc: &BlockedFilter = match folded {
                 Some(f) => &f.w,
                 None => w,
@@ -1003,8 +1030,47 @@ impl Network {
             let (wq, mult) = VnniFilter::quantize_per_k(wsrc, &s_x);
             let zero_bias = (qplan.fused().needs_bias() && folded.is_none() && bias.is_none())
                 .then(|| vec![0.0f32; wsrc.k.next_multiple_of(VLEN)]);
-            self.quant[i] = Some(QuantState { wq, mult, inv_sx, zero_bias });
+            self.quant[i] = Some(QuantState { wq, mult, zero_bias });
+            // the first int8 consumer plans its bottom blob's image
+            self.image_plan[bi].get_or_insert_with(|| ImagePlan {
+                buf: usize::MAX,
+                inv_sx: s_x.iter().map(|&s| 1.0 / s).collect(),
+            });
         }
+        self.plan_images();
+    }
+
+    /// Give every planned image its storage: the liveness scan of
+    /// `assign_slots_inference` over *image* lifetimes — born right
+    /// after the owner executes, dead once its last int8 consumer has —
+    /// so a blob kept alive for a residual join does not pin an image,
+    /// and a conv's output image may take over the buffer its input
+    /// image dies in. Every pass rewrites a whole image (a zero f32
+    /// border quantizes to zeros), so a recycled buffer carries nothing
+    /// over.
+    fn plan_images(&mut self) {
+        let bottom = |node: usize| self.alias[self.etg.eng.preds[node][0]];
+        let mut last_use = vec![0usize; self.layers.len()];
+        for (pos, t) in self.etg.fwd.iter().enumerate() {
+            if self.quant[t.node].is_some() {
+                last_use[bottom(t.node)] = pos;
+            }
+        }
+        let geom_of = |node: usize| -> Geom {
+            let a = &self.blobs[self.slot_of[node]].as_ref().expect("blobs are in place").act;
+            (a.n, a.c, a.h, a.w, a.pad)
+        };
+        let mut bufs = GeomPool::default();
+        for (pos, t) in self.etg.fwd.iter().enumerate() {
+            if self.quant[t.node].is_some() && last_use[bottom(t.node)] == pos {
+                bufs.release(self.image_plan[bottom(t.node)].as_ref().expect("planned above").buf);
+            }
+            if let Some(plan) = &mut self.image_plan[t.node] {
+                plan.buf = bufs.take(geom_of(t.node));
+            }
+        }
+        self.images =
+            bufs.geoms.iter().map(|&(n, c, h, w, pad)| VnniActs::zeros(n, c, h, w, pad)).collect();
     }
 
     /// Run one calibration forward over the currently loaded input
@@ -1019,10 +1085,10 @@ impl Network {
             self.labels = vec![0; self.minibatch];
         }
         self.calibrating = true;
-        let fwd = self.etg.fwd.clone();
-        for t in &fwd {
-            self.forward_node(t.node);
-            let owner = self.alias[t.node];
+        for pos in 0..self.etg.fwd.len() {
+            let node = self.etg.fwd[pos].node;
+            self.forward_node(node);
+            let owner = self.alias[node];
             if self.slot_of[owner] != usize::MAX {
                 self.record_amax(owner);
             }
@@ -1037,16 +1103,14 @@ impl Network {
         let blob = &self.blobs[self.slot_of[owner]].as_ref().expect("blob in place").act;
         let cpad = blob.cb * VLEN;
         let entry = self.calibrated_amax[owner].get_or_insert_with(|| vec![0.0; cpad]);
-        for n in 0..blob.n {
-            for cb in 0..blob.cb {
-                for h in 0..blob.h {
-                    for w in 0..blob.w {
-                        for v in 0..VLEN {
-                            let x = blob.get(n, cb * VLEN + v, h, w).abs();
-                            if x > entry[cb * VLEN + v] {
-                                entry[cb * VLEN + v] = x;
-                            }
-                        }
+        // the `(n, cb)` chunks in storage order; the zero border inside
+        // a chunk can never raise a maximum
+        for (i, chunk) in blob.as_slice().chunks_exact(blob.stride_cb()).enumerate() {
+            let amax = &mut entry[i % blob.cb * VLEN..][..VLEN];
+            for px in chunk.chunks_exact(VLEN) {
+                for (a, x) in amax.iter_mut().zip(px) {
+                    if x.abs() > *a {
+                        *a = x.abs();
                     }
                 }
             }
@@ -1126,9 +1190,12 @@ impl Network {
         self.blobs.len()
     }
 
-    /// Bytes of activation storage across all slots.
+    /// Bytes of activation storage: the f32 slots plus the int16 images
+    /// int8 convolutions read.
     pub fn activation_bytes(&self) -> usize {
-        self.blobs.iter().flatten().map(|b| b.act.as_slice().len() * 4).sum()
+        let blobs: usize = self.blobs.iter().flatten().map(|b| b.act.as_slice().len() * 4).sum();
+        let images: usize = self.images.iter().map(|q| q.as_slice().len() * 2).sum();
+        blobs + images
     }
 
     /// Softmax probabilities of the last forward pass, one padded row
@@ -1224,14 +1291,24 @@ impl Network {
             self.labels = vec![0; self.minibatch];
         }
         let mut out = StepStats { loss: 0.0, top1: 0.0 };
-        let fwd = self.etg.fwd.clone();
-        for t in &fwd {
+        for pos in 0..self.etg.fwd.len() {
+            let t = self.etg.fwd[pos];
             debug_assert_eq!(t.pass, PassKind::Fwd);
             if let Some(s) = self.forward_node(t.node) {
                 out = s;
             }
+            self.quantize_image(t.node);
         }
         out
+    }
+
+    /// Quantize `node`'s freshly written blob into its int16 image on
+    /// the network's pool — once for all of its int8 consumers; a no-op
+    /// for blobs no int8 convolution reads.
+    fn quantize_image(&mut self, node: usize) {
+        let Some(plan) = &self.image_plan[node] else { return };
+        let blob = self.blobs[self.slot_of[node]].as_ref().expect("blob in place");
+        ops::quantize_fwd(&self.pool, &blob.act, &plan.inv_sx, &mut self.images[plan.buf]);
     }
 
     fn take_blob(&mut self, node: usize) -> Blob {
@@ -1243,82 +1320,31 @@ impl Network {
     }
 
     fn bottoms_of(&self, node: usize) -> Vec<usize> {
-        let index: Vec<usize> = self.etg.eng.preds[node].clone();
-        index
+        self.etg.eng.preds[node].clone()
+    }
+
+    /// Take `node`'s first bottom blob and its own output blob.
+    fn take_io(&mut self, node: usize) -> (usize, Blob, Blob) {
+        let b0 = self.etg.eng.preds[node][0];
+        (b0, self.take_blob(b0), self.take_blob(node))
+    }
+
+    /// Return what [`Self::take_io`] took.
+    fn put_io(&mut self, node: usize, b0: usize, bot: Blob, own: Blob) {
+        self.put_blob(b0, bot);
+        self.put_blob(node, own);
     }
 
     fn forward_node(&mut self, node: usize) -> Option<StepStats> {
-        let spec = self.etg.eng.nodes[node].clone();
-        match spec {
-            NodeSpec::Input { .. } | NodeSpec::Split { .. } => None,
-            NodeSpec::Conv { bottom: _, .. } => {
-                let bots = self.bottoms_of(node);
-                let bot_owner = self.alias[bots[0]];
-                let bot = self.take_blob(bots[0]);
-                let mut own = self.take_blob(node);
-                // eltwise residual: the conv's own second bottom, or —
-                // for a folded BN — the BN's residual, read here while
-                // the output tile is still cache-hot
-                let res_owner = match &self.layers[node] {
-                    LayerState::Conv { folded: Some(f), .. } => f.eltwise,
-                    _ => (bots.len() > 1).then(|| self.alias[bots[1]]),
-                };
-                let res_is_bot = res_owner == Some(bot_owner);
-                let res = match res_owner {
-                    Some(ro) if !res_is_bot => Some((ro, self.take_blob(ro))),
-                    _ => None,
-                };
-                let qs = if self.calibrating { &None } else { &self.quant[node] };
-                if let LayerState::Conv { layer, w, bias, folded, .. } = &self.layers[node] {
-                    let eltwise =
-                        if res_is_bot { Some(&bot.act) } else { res.as_ref().map(|(_, b)| &b.act) };
-                    if let Some(qs) = qs {
-                        // int8 path: quantize the f32 input blob into
-                        // the geometry's int16 scratch, run the fused
-                        // quantized plan (conv in int8/int16, requant +
-                        // bias/residual/ReLU in the f32 APPLY) — the
-                        // output blob is plain f32 again, so consumers
-                        // never see a precision boundary
-                        let a = &bot.act;
-                        let key = (a.n, a.c, a.h, a.w, a.pad);
-                        let mut xq = self
-                            .quant_scratch
-                            .remove(&key)
-                            .unwrap_or_else(|| VnniActs::zeros(a.n, a.c, a.h, a.w, a.pad));
-                        xq.quantize_per_channel_into(a, &qs.inv_sx);
-                        let bias_ref: Option<&[f32]> = match folded {
-                            Some(f) => Some(&f.bias),
-                            None => bias.as_ref().map(|b| &b.w[..]).or(qs.zero_bias.as_deref()),
-                        };
-                        let ctx = conv::fuse::FuseCtx { bias: bias_ref, eltwise };
-                        layer.forward_quant(&self.pool, &xq, &qs.wq, &mut own.act, &qs.mult, &ctx);
-                        self.quant_scratch.insert(key, xq);
-                    } else {
-                        let (weights, ctx) = match folded {
-                            Some(f) => {
-                                (&f.w, conv::fuse::FuseCtx { bias: Some(&f.bias[..]), eltwise })
-                            }
-                            None => (
-                                w,
-                                conv::fuse::FuseCtx {
-                                    bias: bias.as_ref().map(|b| &b.w[..]),
-                                    eltwise,
-                                },
-                            ),
-                        };
-                        layer.forward(&self.pool, &bot.act, weights, &mut own.act, &ctx);
-                    }
-                } else {
-                    unreachable!()
-                }
-                if let Some((ro, r)) = res {
-                    self.put_blob(ro, r);
-                }
-                self.put_blob(self.bottoms_of(node)[0], bot);
-                self.put_blob(node, own);
+        // matched without bindings: the arms re-borrow what they need
+        // around taking blobs out of `self`
+        match self.layers[node] {
+            LayerState::Input | LayerState::Split => None,
+            LayerState::Conv { .. } => {
+                self.forward_conv(node);
                 None
             }
-            NodeSpec::Bn { .. } => {
+            LayerState::Bn { .. } => {
                 // a BN folded into its producer convolution already
                 // executed inside the conv's fused APPLY step — its
                 // schedule slot is a no-op (the node aliases the
@@ -1326,152 +1352,174 @@ impl Network {
                 if self.alias[node] != node {
                     return None;
                 }
-                let bots = self.bottoms_of(node);
-                let bot = self.take_blob(bots[0]);
-                let mut own = self.take_blob(node);
-                let res = if bots.len() > 1 && self.alias[bots[1]] != self.alias[bots[0]] {
-                    Some(self.take_blob(bots[1]))
-                } else {
-                    None
-                };
+                let (b0, bot, mut own) = self.take_io(node);
+                let b1 = self.etg.eng.preds[node].get(1).copied();
+                let res =
+                    b1.filter(|&b| self.alias[b] != self.alias[b0]).map(|b| self.take_blob(b));
                 let training = self.mode == ExecMode::Training;
-                if let LayerState::Bn {
-                    gamma, beta, saved, running_mean, running_var, relu, ..
-                } = &mut self.layers[node]
-                {
-                    if training {
-                        ops::bn_fwd(
-                            &self.pool,
-                            &bot.act,
-                            &gamma.w,
-                            &beta.w,
-                            BN_EPS,
-                            *relu,
-                            res.as_ref().map(|b| &b.act),
-                            &mut own.act,
-                            saved,
-                        );
-                        // accumulate the running statistics every
-                        // training-mode forward — the EMAs the
-                        // frozen-stats inference paths consume
-                        for c in 0..running_mean.len() {
-                            running_mean[c] =
-                                (1.0 - BN_MOMENTUM) * running_mean[c] + BN_MOMENTUM * saved.mean[c];
-                            running_var[c] =
-                                (1.0 - BN_MOMENTUM) * running_var[c] + BN_MOMENTUM * saved.var[c];
-                        }
-                    } else {
-                        // inference: frozen running statistics — the
-                        // output of each sample no longer depends on
-                        // its co-batched neighbours (a BN the fusion
-                        // pass could not fold still serves correctly)
-                        ops::bn_infer_fwd(
-                            &self.pool,
-                            &bot.act,
-                            &gamma.w,
-                            &beta.w,
-                            running_mean,
-                            running_var,
-                            BN_EPS,
-                            *relu,
-                            res.as_ref().map(|b| &b.act),
-                            &mut own.act,
-                        );
-                    }
-                } else {
-                    unreachable!()
-                }
-                if let Some(r) = res {
-                    self.put_blob(self.bottoms_of(node)[1], r);
-                }
-                self.put_blob(self.bottoms_of(node)[0], bot);
-                self.put_blob(node, own);
-                None
-            }
-            NodeSpec::Pool { .. } => {
-                let bots = self.bottoms_of(node);
-                let bot = self.take_blob(bots[0]);
-                let mut own = self.take_blob(node);
-                if let LayerState::Pool { kind, size, stride, pad, argmax } = &mut self.layers[node]
-                {
-                    match kind {
-                        PoolKind::Max => ops::maxpool_fwd(
-                            &self.pool,
-                            &bot.act,
-                            *size,
-                            *stride,
-                            *pad,
-                            &mut own.act,
-                            argmax,
-                        ),
-                        PoolKind::Avg => ops::avgpool_fwd(
-                            &self.pool,
-                            &bot.act,
-                            *size,
-                            *stride,
-                            *pad,
-                            &mut own.act,
-                        ),
-                    }
-                } else {
-                    unreachable!()
-                }
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
-                None
-            }
-            NodeSpec::GlobalAvgPool { .. } => {
-                let bots = self.bottoms_of(node);
-                let bot = self.take_blob(bots[0]);
-                let mut own = self.take_blob(node);
-                ops::gap_fwd(&self.pool, &bot.act, &mut own.act);
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
-                None
-            }
-            NodeSpec::Fc { .. } => {
-                let bots = self.bottoms_of(node);
-                let bot = self.take_blob(bots[0]);
-                let mut own = self.take_blob(node);
-                if let LayerState::Fc { w, b, .. } = &self.layers[node] {
-                    ops::fc_fwd(&self.pool, &bot.act, &w.w, &b.w, &mut own.act);
-                } else {
-                    unreachable!()
-                }
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
-                None
-            }
-            NodeSpec::SoftmaxLoss { .. } => {
-                let bots = self.bottoms_of(node);
-                let bot = self.take_blob(bots[0]);
-                let labels = self.labels.clone();
-                let stats = if let LayerState::SoftmaxLoss { probs, classes } =
+                let LayerState::Bn { gamma, beta, saved, running_mean, running_var, relu, .. } =
                     &mut self.layers[node]
-                {
-                    let (loss, top1) = ops::softmax_loss_fwd(&bot.act, *classes, &labels, probs);
-                    StepStats { loss, top1 }
-                } else {
-                    unreachable!()
+                else {
+                    unreachable!("matched a bn node above")
                 };
-                self.put_blob(bots[0], bot);
-                Some(stats)
+                if training {
+                    ops::bn_fwd(
+                        &self.pool,
+                        &bot.act,
+                        &gamma.w,
+                        &beta.w,
+                        BN_EPS,
+                        *relu,
+                        res.as_ref().map(|b| &b.act),
+                        &mut own.act,
+                        saved,
+                    );
+                    // accumulate the running statistics every
+                    // training-mode forward — the EMAs the
+                    // frozen-stats inference paths consume
+                    for c in 0..running_mean.len() {
+                        running_mean[c] =
+                            (1.0 - BN_MOMENTUM) * running_mean[c] + BN_MOMENTUM * saved.mean[c];
+                        running_var[c] =
+                            (1.0 - BN_MOMENTUM) * running_var[c] + BN_MOMENTUM * saved.var[c];
+                    }
+                } else {
+                    // inference: frozen running statistics — the
+                    // output of each sample no longer depends on
+                    // its co-batched neighbours (a BN the fusion
+                    // pass could not fold still serves correctly)
+                    ops::bn_infer_fwd(
+                        &self.pool,
+                        &bot.act,
+                        &gamma.w,
+                        &beta.w,
+                        running_mean,
+                        running_var,
+                        BN_EPS,
+                        *relu,
+                        res.as_ref().map(|b| &b.act),
+                        &mut own.act,
+                    );
+                }
+                if let (Some(b1), Some(r)) = (b1, res) {
+                    self.put_blob(b1, r);
+                }
+                self.put_io(node, b0, bot, own);
+                None
             }
-            NodeSpec::Concat { .. } => {
-                let bots = self.bottoms_of(node);
+            LayerState::Pool { .. } => {
+                let (b0, bot, mut own) = self.take_io(node);
+                let LayerState::Pool { kind, size, stride, pad, argmax } = &mut self.layers[node]
+                else {
+                    unreachable!("matched a pool node above")
+                };
+                match kind {
+                    PoolKind::Max => ops::maxpool_fwd(
+                        &self.pool,
+                        &bot.act,
+                        *size,
+                        *stride,
+                        *pad,
+                        &mut own.act,
+                        argmax,
+                    ),
+                    PoolKind::Avg => {
+                        ops::avgpool_fwd(&self.pool, &bot.act, *size, *stride, *pad, &mut own.act)
+                    }
+                }
+                self.put_io(node, b0, bot, own);
+                None
+            }
+            LayerState::Gap => {
+                let (b0, bot, mut own) = self.take_io(node);
+                ops::gap_fwd(&self.pool, &bot.act, &mut own.act);
+                self.put_io(node, b0, bot, own);
+                None
+            }
+            LayerState::Fc { .. } => {
+                let (b0, bot, mut own) = self.take_io(node);
+                let LayerState::Fc { w, b, .. } = &self.layers[node] else {
+                    unreachable!("matched an fc node above")
+                };
+                ops::fc_fwd(&self.pool, &bot.act, &w.w, &b.w, &mut own.act);
+                self.put_io(node, b0, bot, own);
+                None
+            }
+            LayerState::SoftmaxLoss { .. } => {
+                let b0 = self.etg.eng.preds[node][0];
+                let bot = self.take_blob(b0);
+                let LayerState::SoftmaxLoss { probs, classes } = &mut self.layers[node] else {
+                    unreachable!("matched the loss node above")
+                };
+                let (loss, top1) = ops::softmax_loss_fwd(&bot.act, *classes, &self.labels, probs);
+                self.put_blob(b0, bot);
+                Some(StepStats { loss, top1 })
+            }
+            LayerState::Concat => {
                 let mut own = self.take_blob(node);
-                let parts: Vec<Blob> = bots.iter().map(|&b| self.take_blob(b)).collect();
+                let parts: Vec<Blob> = (0..self.etg.eng.preds[node].len())
+                    .map(|j| self.take_blob(self.etg.eng.preds[node][j]))
+                    .collect();
                 {
                     let refs: Vec<&BlockedActs> = parts.iter().map(|p| &p.act).collect();
                     ops::concat_fwd(&refs, &mut own.act);
                 }
-                for (b, p) in bots.iter().zip(parts) {
-                    self.put_blob(*b, p);
+                for (j, p) in parts.into_iter().enumerate() {
+                    self.put_blob(self.etg.eng.preds[node][j], p);
                 }
                 self.put_blob(node, own);
                 None
             }
         }
+    }
+
+    /// Forward one convolution node: int8 when the node carries a
+    /// [`QuantState`], its f32 plan otherwise.
+    fn forward_conv(&mut self, node: usize) {
+        let (b0, bot, mut own) = self.take_io(node);
+        let bot_owner = self.alias[b0];
+        // eltwise residual: the conv's own second bottom, or — for a
+        // folded BN — the BN's residual, read here while the output
+        // tile is still cache-hot
+        let res_owner = match &self.layers[node] {
+            LayerState::Conv { folded: Some(f), .. } => f.eltwise,
+            _ => self.etg.eng.preds[node].get(1).map(|&b| self.alias[b]),
+        };
+        let res = res_owner.filter(|&ro| ro != bot_owner).map(|ro| (ro, self.take_blob(ro)));
+        let LayerState::Conv { layer, w, bias, folded, .. } = &self.layers[node] else {
+            unreachable!("forward_node matched a conv node")
+        };
+        let eltwise = match &res {
+            Some((_, r)) => Some(&r.act),
+            None => res_owner.map(|_| &bot.act),
+        };
+        // a calibration forward is f32 end to end
+        let qs = if self.calibrating { None } else { self.quant[node].as_ref() };
+        if let Some(qs) = qs {
+            // int8 path: the bottom blob was quantized into its int16
+            // image when its producer ran; conv in int8/int16, requant +
+            // bias/residual/ReLU in the f32 APPLY — the output blob is
+            // plain f32 again, so no consumer sees a precision boundary
+            let plan = self.image_plan[bot_owner].as_ref().expect("an int8 conv's bottom has one");
+            let xq = &self.images[plan.buf];
+            let bias_ref: Option<&[f32]> = match folded {
+                Some(f) => Some(&f.bias),
+                None => bias.as_ref().map(|b| &b.w[..]).or(qs.zero_bias.as_deref()),
+            };
+            let ctx = FuseCtx { bias: bias_ref, eltwise };
+            layer.forward_quant(&self.pool, xq, &qs.wq, &mut own.act, &qs.mult, &ctx);
+        } else {
+            let (weights, bias_ref) = match folded {
+                Some(f) => (&f.w, Some(&f.bias[..])),
+                None => (w, bias.as_ref().map(|b| &b.w[..])),
+            };
+            let ctx = FuseCtx { bias: bias_ref, eltwise };
+            layer.forward(&self.pool, &bot.act, weights, &mut own.act, &ctx);
+        }
+        if let Some((ro, r)) = res {
+            self.put_blob(ro, r);
+        }
+        self.put_io(node, b0, bot, own);
     }
 
     /// Backward pass (zeroes gradients first).
@@ -1575,9 +1623,9 @@ impl Network {
                     );
                 }
                 if let Some(r) = res {
-                    self.put_blob(self.bottoms_of(node)[1], r);
+                    self.put_blob(bots[1], r);
                 }
-                self.put_blob(self.bottoms_of(node)[0], bot);
+                self.put_blob(bots[0], bot);
                 self.put_blob(node, own);
             }
             NodeSpec::Conv { .. } => {
@@ -1644,9 +1692,9 @@ impl Network {
                     ops::accumulate(&self.pool, bot.grad.as_mut().unwrap(), &ts.di_scratch);
                 }
                 if let Some(r) = res {
-                    self.put_blob(self.bottoms_of(node)[1], r);
+                    self.put_blob(bots[1], r);
                 }
-                self.put_blob(self.bottoms_of(node)[0], bot);
+                self.put_blob(bots[0], bot);
                 self.put_blob(node, own);
             }
             NodeSpec::Concat { .. } => {
@@ -1945,7 +1993,17 @@ impl Network {
     /// node runs f32).
     pub fn conv_input_scales(&self, name: &str) -> Option<&[f32]> {
         let i = self.node_index(name)?;
-        self.quant[i].as_ref().map(|q| &q.inv_sx[..])
+        self.quant[i].as_ref()?;
+        let bottom = self.alias[self.etg.eng.preds[i][0]];
+        self.image_plan[bottom].as_ref().map(|p| &p.inv_sx[..])
+    }
+
+    /// Quantization passes per forward: the blobs an int8 convolution
+    /// reads, each quantized once however many convolutions read it
+    /// (0 at f32 precision). `quantized_conv_count` minus this is the
+    /// number of conv inputs served by an image another conv shares.
+    pub fn quantize_pass_count(&self) -> usize {
+        self.image_plan.iter().flatten().count()
     }
 
     fn node_index(&self, name: &str) -> Option<usize> {

@@ -11,7 +11,21 @@
 
 use parallel::ThreadPool;
 use smallgemm::big_gemm;
-use tensor::{BlockedActs, VLEN};
+use std::sync::Mutex;
+use tensor::{BlockedActs, VnniActs, VLEN};
+
+/// Per-channel int8-range quantization of a blob into its int16 image
+/// (`q = rne_sat_i8(x · inv_scale[c])`, see
+/// `VnniActs::quantize_per_channel_into`), the `(n, cb)` chunks split
+/// over the team. The pass is element-wise: any team size gives the
+/// same bits.
+pub fn quantize_fwd(pool: &ThreadPool, x: &BlockedActs, inv_scale: &[f32], image: &mut VnniActs) {
+    // one job per team member, each behind its own (never contended)
+    // lock so the region closure stays `Fn`
+    let jobs: Vec<_> =
+        image.quantize_jobs(x, inv_scale, pool.nthreads()).into_iter().map(Mutex::new).collect();
+    pool.run(|ctx| jobs[ctx.tid].lock().expect("a job is locked by one thread only").run());
+}
 
 /// Max pooling forward; records argmax (flat input offsets) for the
 /// backward scatter.
@@ -691,6 +705,22 @@ impl SendMutU32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantize_is_team_size_independent() {
+        // 3 samples × 3 channel blocks: fewer chunks than one of the
+        // teams below has members per sample, more than another
+        let x = BlockedActs::random(3, 40, 5, 4, 1, 9);
+        let inv: Vec<f32> = (0..48).map(|c| 20.0 + 7.0 * c as f32).collect();
+        let mut want = VnniActs::zeros(3, 40, 5, 4, 1);
+        want.quantize_per_channel_into(&x, &inv);
+        assert!(want.as_slice().iter().any(|&q| q != 0));
+        for threads in [1, 2, 3, 4, 11] {
+            let mut image = VnniActs::zeros(3, 40, 5, 4, 1);
+            quantize_fwd(&ThreadPool::new(threads), &x, &inv, &mut image);
+            assert_eq!(image.as_slice(), want.as_slice(), "team of {threads}");
+        }
+    }
 
     #[test]
     fn maxpool_roundtrip() {

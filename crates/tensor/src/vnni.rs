@@ -27,12 +27,103 @@ use crate::shape::VLEN;
 /// quantized value can always be negated without overflow.
 pub const I8_QMAX: f32 = 127.0;
 
+/// `1.5 · 2²³`: adding and then subtracting it rounds any `|v| < 2²²`
+/// to the nearest integer, ties to even (the default FP rounding mode
+/// does the work when the sum drops the fraction bits).
+const RNE_MAGIC: f32 = 12_582_912.0;
+
 /// Round-to-nearest-even quantization saturating at the symmetric i8
-/// edges `[-127, 127]`. NaN inputs quantize to 0 (Rust's saturating
-/// float→int cast), so a degenerate scale can never poison the tensor.
+/// edges `[-127, 127]` — `v.round_ties_even().clamp(-127, 127) as i16`
+/// for every f32 bit pattern. NaN inputs quantize to 0 (`clamp` and the
+/// arithmetic propagate it, Rust's saturating float→int cast zeroes
+/// it), so a degenerate scale can never poison the tensor; `±Inf` and
+/// anything beyond the edges pin to `±127`.
+///
+/// Clamping first is exact (the edges are integers) and puts the value
+/// inside the range of the add/subtract rounding trick — on a baseline
+/// x86-64 build `round_ties_even` is a libm call per element.
 #[inline]
 pub fn rne_sat_i8(v: f32) -> i16 {
-    v.round_ties_even().clamp(-I8_QMAX, I8_QMAX) as i16
+    ((v.clamp(-I8_QMAX, I8_QMAX) + RNE_MAGIC) - RNE_MAGIC) as i16
+}
+
+/// Quantize a run of whole pixel vectors that share one 16-lane scale:
+/// `dst[i] = rne_sat_i8(src[i] · inv[i % VLEN])`. AVX-512 hosts
+/// (runtime-detected) take the vector body, which is bit-identical to
+/// the scalar loop for every f32 bit pattern; the scalar loop remains
+/// for every other host.
+fn quantize_pixels(dst: &mut [i16], src: &[f32], inv: &[f32; VLEN]) {
+    debug_assert_eq!(dst.len(), src.len());
+    debug_assert_eq!(src.len() % VLEN, 0);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the feature was detected at run time.
+            unsafe { quantize_pixels_avx512(dst, src, inv) };
+            return;
+        }
+    }
+    quantize_pixels_scalar(dst, src, inv);
+}
+
+fn quantize_pixels_scalar(dst: &mut [i16], src: &[f32], inv: &[f32; VLEN]) {
+    for (d, s) in dst.chunks_exact_mut(VLEN).zip(src.chunks_exact(VLEN)) {
+        for ((q, x), scale) in d.iter_mut().zip(s).zip(inv) {
+            *q = rne_sat_i8(x * scale);
+        }
+    }
+}
+
+/// Multiply, clamp to `±127`, convert with an explicit
+/// round-to-nearest-even, narrow to i16. A NaN product fails the
+/// ordered compare and its lane is zeroed by the masked convert (the
+/// `min` has already replaced it by a finite value, so the convert
+/// never sees an invalid operand); `±Inf` clamps like any large value.
+///
+/// # Safety
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_pixels_avx512(dst: &mut [i16], src: &[f32], inv: &[f32; VLEN]) {
+    use std::arch::x86_64::*;
+    const RNE: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    let scale = _mm512_loadu_ps(inv.as_ptr());
+    let (lo, hi) = (_mm512_set1_ps(-I8_QMAX), _mm512_set1_ps(I8_QMAX));
+    for (d, s) in dst.chunks_exact_mut(VLEN).zip(src.chunks_exact(VLEN)) {
+        let v = _mm512_mul_ps(_mm512_loadu_ps(s.as_ptr()), scale);
+        let ordered = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(v, v);
+        let clamped = _mm512_max_ps(_mm512_min_ps(v, hi), lo);
+        let q = _mm512_maskz_cvt_roundps_epi32::<RNE>(ordered, clamped);
+        _mm256_storeu_si256(d.as_mut_ptr() as *mut __m256i, _mm512_cvtepi32_epi16(q));
+    }
+}
+
+/// One independent share of a per-channel quantization pass: a run of
+/// consecutive `(n, cb)` chunks of the destination with the matching
+/// source. [`VnniActs::quantize_jobs`] makes them; a thread team runs
+/// one each. The pass is element-wise, so any split gives the same
+/// bits.
+pub struct QuantizeJob<'a> {
+    dst: &'a mut [i16],
+    src: &'a [f32],
+    inv_scale: &'a [f32],
+    /// Flat index `n · cb + cb` of the first chunk.
+    first: usize,
+    /// Elements per chunk.
+    chunk: usize,
+    cb: usize,
+}
+
+impl QuantizeJob<'_> {
+    /// Quantize this job's chunks.
+    pub fn run(&mut self) {
+        let chunks = self.dst.chunks_exact_mut(self.chunk).zip(self.src.chunks_exact(self.chunk));
+        for (i, (d, s)) in chunks.enumerate() {
+            let c0 = (self.first + i) % self.cb * VLEN;
+            let inv = self.inv_scale[c0..c0 + VLEN].try_into().expect("one channel block");
+            quantize_pixels(d, s, inv);
+        }
+    }
 }
 
 /// Blocked int16 activations `[N][Cb][Hp][Wp][VLEN]`.
@@ -136,9 +227,8 @@ impl VnniActs {
         out
     }
 
-    /// Per-channel int8-range quantization into this tensor (which acts
-    /// as a reusable scratch buffer: the executor quantizes every conv
-    /// input into one geometry-keyed scratch instead of reallocating).
+    /// Per-channel int8-range quantization into this tensor (the
+    /// reusable int16 image of an activation blob).
     ///
     /// `q[c] = rne_sat_i8(x[c] · inv_scale[c])` — round-to-nearest-even,
     /// saturating at `±127`. `inv_scale` must cover the padded channel
@@ -146,22 +236,37 @@ impl VnniActs {
     /// `src` exactly; the zero padding quantizes to exact zeros, so a
     /// sample's quantized image is independent of its batch neighbours.
     pub fn quantize_per_channel_into(&mut self, src: &crate::BlockedActs, inv_scale: &[f32]) {
+        self.quantize_jobs(src, inv_scale, 1).iter_mut().for_each(QuantizeJob::run);
+    }
+
+    /// [`Self::quantize_per_channel_into`] split into `parts`
+    /// independent jobs over balanced runs of `(n, cb)` chunks, for a
+    /// thread team to run one each (some are empty when there are
+    /// fewer chunks than parts).
+    pub fn quantize_jobs<'a>(
+        &'a mut self,
+        src: &'a crate::BlockedActs,
+        inv_scale: &'a [f32],
+        parts: usize,
+    ) -> Vec<QuantizeJob<'a>> {
         assert_eq!(
             (self.n, self.cb, self.h, self.w, self.pad),
             (src.n, src.cb, src.h, src.w, src.pad),
-            "quantize scratch geometry mismatch"
+            "quantize geometry mismatch"
         );
         assert!(inv_scale.len() >= self.cb * VLEN, "inv_scale shorter than padded channels");
-        let chunk = self.stride_cb();
-        let cb_total = self.cb;
-        for (ci, (dst, s)) in
-            self.data.as_mut_slice().chunks_mut(chunk).zip(src.as_slice().chunks(chunk)).enumerate()
-        {
-            let inv = &inv_scale[(ci % cb_total) * VLEN..(ci % cb_total) * VLEN + VLEN];
-            for (i, (d, x)) in dst.iter_mut().zip(s).enumerate() {
-                *d = rne_sat_i8(x * inv[i % VLEN]);
-            }
-        }
+        let (chunk, cb) = (self.stride_cb().max(1), self.cb);
+        let chunks = self.data.len() / chunk;
+        let (mut dst, mut src) = (self.data.as_mut_slice(), src.as_slice());
+        (0..parts)
+            .map(|part| {
+                let (first, end) = (chunks * part / parts, chunks * (part + 1) / parts);
+                let (d, d_rest) = std::mem::take(&mut dst).split_at_mut((end - first) * chunk);
+                let (s, s_rest) = src.split_at((end - first) * chunk);
+                (dst, src) = (d_rest, s_rest);
+                QuantizeJob { dst: d, src: s, inv_scale, first, chunk, cb }
+            })
+            .collect()
     }
 
     /// Raw pointer.
@@ -260,24 +365,43 @@ impl VnniFilter {
     pub fn quantize_per_k(src: &crate::BlockedFilter, act_scale: &[f32]) -> (Self, Vec<f32>) {
         assert!(act_scale.len() >= src.c, "act_scale shorter than input channels");
         let mut out = Self::zeros(src.k, src.c, src.r, src.s);
-        let mut mult = vec![1.0f32; out.kb * VLEN];
-        for (k, mult_k) in mult.iter_mut().enumerate().take(src.k) {
-            let mut amax = 0.0f32;
-            for (c, &sx) in act_scale.iter().enumerate().take(src.c) {
-                for r in 0..src.r {
-                    for s in 0..src.s {
-                        amax = amax.max((src.get(k, c, r, s) * sx).abs());
-                    }
+        // Both layouts share the `[Kb][Cb][R][S]` panel order and the
+        // panel size; inside a panel the source is `[c][k]` and the
+        // destination `[c/2][k][2]`. A panel row is one input channel
+        // times a vector of output channels, so both passes walk `k`
+        // vectors. Rows past `src.c` and lanes past `src.k` are never
+        // read and keep their zeros.
+        let panel = VLEN * VLEN;
+        let taps = src.r * src.s;
+        let logical = |p: usize| {
+            let (k0, c0) = (p / (src.cb * taps) * VLEN, p / taps % src.cb * VLEN);
+            (k0, VLEN.min(src.k - k0), c0, VLEN.min(src.c - c0))
+        };
+        // pass 1: amax over (c, r, s) per output channel; an all-zero
+        // channel (and every pad lane) gets the neutral scale 1.0
+        let mut mult = vec![0.0f32; out.kb * VLEN];
+        for (p, w) in src.as_slice().chunks_exact(panel).enumerate() {
+            let (k0, lanes, c0, rows) = logical(p);
+            let amax = &mut mult[k0..k0 + lanes];
+            for (row, &sx) in w.chunks_exact(VLEN).zip(&act_scale[c0..c0 + rows]) {
+                for (a, x) in amax.iter_mut().zip(row) {
+                    *a = a.max((x * sx).abs());
                 }
             }
-            let scale = if amax > 0.0 { amax / I8_QMAX } else { 1.0 };
-            *mult_k = scale;
-            let inv = 1.0 / scale;
-            for (c, &sx) in act_scale.iter().enumerate().take(src.c) {
-                for r in 0..src.r {
-                    for s in 0..src.s {
-                        out.set(k, c, r, s, rne_sat_i8(src.get(k, c, r, s) * sx * inv));
-                    }
+        }
+        for m in mult.iter_mut() {
+            *m = if *m > 0.0 { *m / I8_QMAX } else { 1.0 };
+        }
+        let inv: Vec<f32> = mult.iter().map(|m| 1.0 / m).collect();
+        // pass 2: quantize into the pair-interleaved panels
+        let panels = src.as_slice().chunks_exact(panel);
+        for (p, (w, q)) in panels.zip(out.data.as_mut_slice().chunks_exact_mut(panel)).enumerate() {
+            let (k0, lanes, c0, rows) = logical(p);
+            let inv = &inv[k0..k0 + lanes];
+            for (c, (row, &sx)) in w.chunks_exact(VLEN).zip(&act_scale[c0..c0 + rows]).enumerate() {
+                let pair = &mut q[(c / 2) * 2 * VLEN..(c / 2 + 1) * 2 * VLEN];
+                for (k, (x, i)) in row.iter().zip(inv).enumerate() {
+                    pair[k * 2 + c % 2] = rne_sat_i8(x * sx * i);
                 }
             }
         }
@@ -474,6 +598,41 @@ mod tests {
         assert_eq!(rne_sat_i8(-1000.0), -127);
         assert_eq!(rne_sat_i8(f32::NAN), 0);
         assert_eq!(rne_sat_i8(f32::INFINITY), 127);
+    }
+
+    #[test]
+    fn scalar_and_dispatched_bodies_agree_on_hostile_values() {
+        // the scalar body is what non-AVX-512 hosts run; on an AVX-512
+        // host the dispatcher never reaches it, so pin it here
+        let src = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            126.5,
+            127.49,
+            127.5,
+            -127.5,
+            3e9,
+            -3e9,
+            1e-45,
+            -0.0,
+        ];
+        for scale in [1.0, 0.999_999_94, 64.0, f32::INFINITY, f32::NAN, 0.0, -1.0] {
+            let inv = [scale; VLEN];
+            let (mut scalar, mut dispatched) = ([1i16; VLEN], [1i16; VLEN]);
+            quantize_pixels_scalar(&mut scalar, &src, &inv);
+            quantize_pixels(&mut dispatched, &src, &inv);
+            assert_eq!(scalar, dispatched, "scale {scale}");
+            for (q, x) in scalar.iter().zip(src) {
+                let want = (x * scale).round_ties_even().clamp(-I8_QMAX, I8_QMAX) as i16;
+                assert_eq!(*q, want, "{x} · {scale}");
+            }
+        }
     }
 
     #[test]
