@@ -12,7 +12,7 @@ use bench_bins::{gflops, time_it, HarnessConfig};
 use conv::blocking;
 use conv::fuse::{apply_unfused, FuseCtx, FusedOp};
 use conv::upd::UpdPlan;
-use conv::{Backend, ConvLayer, LayerOptions};
+use conv::{Backend, ConvLayer, LayerOptions, PlanRequest};
 use machine::MachineModel;
 use parallel::ThreadPool;
 use tensor::{BlockedActs, BlockedFilter, ConvShape};
@@ -107,17 +107,9 @@ fn main() {
                 if g == 0 || !cfg.threads.is_multiple_of(g) {
                     continue;
                 }
-                let plan = UpdPlan::with_forced_copies(
-                    shape,
-                    b,
-                    cfg.threads,
-                    Backend::Auto,
-                    true,
-                    &MachineModel::skx(),
-                    0,
-                    shape.pad,
-                    g,
-                );
+                let opts = LayerOptions::new(cfg.threads).with_dout_pad(0);
+                let req = PlanRequest::new(shape, b, &opts);
+                let plan = UpdPlan::with_forced_copies(&req, &MachineModel::skx(), g);
                 let t = time_it(|| plan.run(&pool, &x, &dout, &mut dw), cfg.warmup, cfg.iters);
                 println!("upd copies={:<3} {:8.1} GFLOPS", g, gflops(&shape, t));
             }

@@ -8,8 +8,8 @@
 
 use bench_bins::{calibrate_host, gflops, time_it, HarnessConfig};
 use conv::fuse::FuseCtx;
-use conv::quant::{QuantBwdPlan, QuantFwdPlan, QuantOptions, QuantUpdPlan, DEFAULT_CHAIN_LIMIT};
-use conv::{Backend, ConvLayer, LayerOptions};
+use conv::quant::{QuantBwdPlan, QuantFwdPlan, QuantUpdPlan};
+use conv::{blocking, ConvLayer, LayerOptions, PlanRequest};
 use machine::{predicted_int16_speedup, MachineModel, Pass};
 use parallel::ThreadPool;
 use tensor::vnni::BlockedI32;
@@ -40,13 +40,9 @@ fn main() {
             cfg.iters,
         );
         // int16 forward
-        let qplan = QuantFwdPlan::new(
-            shape,
-            &QuantOptions::new(cfg.threads)
-                .with_backend(Backend::Auto)
-                .with_prefetch(true)
-                .with_chain_limit(DEFAULT_CHAIN_LIMIT),
-        );
+        // raw int16 plans from the same request the f32 layer was built from
+        let req = PlanRequest::new(shape, blocking::choose(&shape), layer.options());
+        let qplan = QuantFwdPlan::new(&req);
         let xq = VnniActs::random(shape.n, shape.c, shape.h, shape.w, shape.pad, 3);
         let wq = VnniFilter::random(shape.k, shape.c, shape.r, shape.s, 4);
         let mut yq = BlockedI32::zeros(shape.n, shape.k, shape.p(), shape.q());
@@ -72,13 +68,7 @@ fn main() {
         // exercise the int16 bwd/upd engines on a couple of layers so
         // the figure's (b)/(c) panels run real code too
         if matches!(id, 4 | 5) {
-            let qb = QuantBwdPlan::new(
-                shape,
-                &QuantOptions::new(cfg.threads)
-                    .with_backend(Backend::Auto)
-                    .with_prefetch(true)
-                    .with_chain_limit(4),
-            );
+            let qb = QuantBwdPlan::new(&req);
             let gyq = VnniActs::random(shape.n, shape.k, shape.p(), shape.q(), qb.dout_pad(), 5);
             let mut gxq = BlockedI32::zeros(shape.n, shape.c, shape.h, shape.w);
             qb.run(&pool, &gyq, &w, 1.0 / 64.0, &mut gxq);

@@ -57,13 +57,9 @@ fn main() {
     let classes = 100usize;
 
     let (name, text, in_hw) = if inception {
-        (
-            "inception_mixed",
-            topologies::inception_v3_topology_sized(hw.max(31), classes),
-            hw.max(31),
-        )
+        ("inception_mixed", topologies::inception_v3_model_sized(hw.max(31), classes), hw.max(31))
     } else {
-        ("resnet50", topologies::resnet50_topology(hw, classes), hw)
+        ("resnet50", topologies::resnet50_model(hw, classes), hw)
     };
     eprintln!("# building {name} at {in_hw}x{in_hw}, minibatch {}", cfg.minibatch);
 

@@ -13,7 +13,7 @@
 //! request count, `--max-wait-ms` the deadline-flush window.
 
 use anatomy::serve::{BatchingFrontend, ServeConfig};
-use anatomy::InferenceSession;
+use anatomy::{InferenceSession, ModelSpec};
 use bench_bins::arg_usize as arg;
 use conv::PlanCache;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,7 +33,7 @@ struct LayoutResult {
 /// Closed-loop load: `clients` threads each submit one image at a time
 /// until `requests` single-image requests have been served.
 fn drive(
-    topology: &str,
+    topology: &ModelSpec,
     cache: &PlanCache,
     cfg: ServeConfig,
     clients: usize,
@@ -42,8 +42,8 @@ fn drive(
 ) -> LayoutResult {
     let replicas = cfg.replicas;
     let threads_per_replica = cfg.threads_per_replica;
-    let frontend =
-        BatchingFrontend::with_cache(topology, cfg, cache.clone()).expect("topology parses");
+    let frontend = BatchingFrontend::with_cache_and_weights(topology, cfg, cache.clone(), None)
+        .expect("frontend builds");
     let sample = frontend.sample_elems();
     let mut rng = tensor::rng::SplitMix64::new(0x5e21e);
     let mut image = vec![0.0f32; sample];
@@ -91,7 +91,7 @@ fn drive(
 /// Frontend-vs-direct bit-exactness: one request carrying the whole
 /// minibatch lands as one batch with identical composition, so even
 /// batch-statistics operators (bn) must reproduce the direct run.
-fn parity_check(topology: &str, minibatch: usize, threads: usize) -> bool {
+fn parity_check(topology: &ModelSpec, minibatch: usize, threads: usize) -> bool {
     let mut direct = InferenceSession::new(topology, minibatch, threads).expect("parses");
     let frontend = BatchingFrontend::new(
         topology,
@@ -116,7 +116,7 @@ fn main() {
     let max_wait_ms = arg("--max-wait-ms", 2);
     let classes = 100usize;
 
-    let topology = topologies::resnet50_topology(hw, classes);
+    let topology = topologies::resnet50_model(hw, classes);
     eprintln!(
         "# serve: resnet50 @ {hw}x{hw}, minibatch {minibatch}, {total_threads} total threads, \
          {clients} clients, {requests} requests/layout, max_wait {max_wait_ms}ms"

@@ -1,7 +1,8 @@
 //! Unified kernel handles over the JIT and intrinsics backends.
 //!
-//! Engines never call a backend directly: they hold [`FwdKernel`] /
-//! [`UpdKernel`] / [`QuantKernel`] handles constructed at layer setup.
+//! Engines never call a backend directly: they hold [`Kernel`] handles
+//! constructed at layer setup — one generic handle over the three
+//! kernel [`Flavor`]s ([`FwdKernel`] / [`UpdKernel`] / [`QuantKernel`]).
 //! `Backend::Auto` prefers real runtime code generation (the paper's
 //! mechanism) and falls back to the monomorphized intrinsics family,
 //! then scalar — so the same engine runs anywhere while using the
@@ -15,9 +16,10 @@
 
 use jit::CodeBuffer;
 use microkernel::{KernelShape, UpdShape};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex};
 
 /// Kernel backend selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -31,21 +33,6 @@ pub enum Backend {
     Intrinsics,
     /// Force the scalar kernels (correctness baseline).
     Scalar,
-}
-
-impl Backend {
-    fn resolve(self) -> Backend {
-        match self {
-            Backend::Auto => {
-                if jit::jit_available() {
-                    Backend::Jit
-                } else {
-                    Backend::Intrinsics
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 /// Hit/miss counters of the process-wide kernel code cache.
@@ -69,31 +56,19 @@ impl KernelCacheStats {
     }
 }
 
-struct KernelCache {
-    fwd: Mutex<HashMap<(KernelShape, Backend), FwdKernel>>,
-    upd: Mutex<HashMap<(UpdShape, Backend), UpdKernel>>,
-    quant: Mutex<HashMap<(KernelShape, Backend), QuantKernel>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-fn kernel_cache() -> &'static KernelCache {
-    static CACHE: OnceLock<KernelCache> = OnceLock::new();
-    CACHE.get_or_init(|| KernelCache {
-        fwd: Mutex::new(HashMap::new()),
-        upd: Mutex::new(HashMap::new()),
-        quant: Mutex::new(HashMap::new()),
-        hits: AtomicUsize::new(0),
-        misses: AtomicUsize::new(0),
-    })
-}
+/// One process-wide code cache for every flavour, keyed uniformly by
+/// `(kver class + descriptor, resolved backend)`; entries are the
+/// flavour's `Arc<Imp<F>>` behind `dyn Any`.
+type CodeCache = Mutex<HashMap<(kver::KernelSpec, Backend), Arc<dyn Any + Send + Sync>>>;
+static CODE_CACHE: LazyLock<CodeCache> = LazyLock::new(Default::default);
+static CACHE_HITS: AtomicUsize = AtomicUsize::new(0);
+static CACHE_MISSES: AtomicUsize = AtomicUsize::new(0);
 
 /// Counters of the process-wide kernel code cache (all kernel kinds).
 pub fn kernel_cache_stats() -> KernelCacheStats {
-    let c = kernel_cache();
     KernelCacheStats {
-        hits: c.hits.load(Ordering::Relaxed),
-        misses: c.misses.load(Ordering::Relaxed),
+        hits: CACHE_HITS.load(Ordering::Relaxed),
+        misses: CACHE_MISSES.load(Ordering::Relaxed),
     }
 }
 
@@ -105,269 +80,250 @@ pub fn kernel_verify_stats() -> kver::VerifyStats {
     kver::stats()
 }
 
-enum FwdImpl {
+/// ABI of a flavour's generated kernels (Section II-E: three compute
+/// pointers, three prefetch pointers).
+pub type JitFn<F> = unsafe extern "C" fn(
+    *const <F as Flavor>::In,
+    *const <F as Flavor>::In,
+    *mut <F as Flavor>::Acc,
+    *const <F as Flavor>::In,
+    *const <F as Flavor>::In,
+    *const <F as Flavor>::Acc,
+);
+
+/// Signature of a flavour's intrinsics and scalar kernels: the JIT ABI
+/// behind the descriptor.
+pub type PortableFn<F> = unsafe fn(
+    &<F as Flavor>::Shape,
+    *const <F as Flavor>::In,
+    *const <F as Flavor>::In,
+    *mut <F as Flavor>::Acc,
+    *const <F as Flavor>::In,
+    *const <F as Flavor>::In,
+    *const <F as Flavor>::Acc,
+);
+
+/// A kernel flavour: everything that distinguishes the f32 forward,
+/// f32 update and int16 forward microkernels (Section II-K: the same
+/// loop nest with a different FMA instruction). [`Kernel`] is written
+/// once over this trait.
+pub trait Flavor: Sized + 'static {
+    /// Kernel descriptor.
+    type Shape: Copy + Send + Sync + 'static;
+    /// Element type of the two input operands.
+    type In: Copy + 'static;
+    /// Element type of the accumulated output operand.
+    type Acc: Copy + 'static;
+    /// Whether the accumulator can overflow, so plans must bound the
+    /// in-kernel reduction chain (the paper's int16 restriction).
+    const BOUNDED_CHAIN: bool;
+    /// The scalar oracle.
+    const SCALAR: PortableFn<Self>;
+    /// Verifier class of `shape` — also the code-cache key.
+    fn spec(shape: &Self::Shape) -> kver::KernelSpec;
+    /// Panic on an illegal descriptor.
+    fn validate(shape: &Self::Shape);
+    /// Whether this host can generate and run the flavour's JIT code.
+    fn jit_available() -> bool;
+    /// Emit machine code for `shape`.
+    fn assemble(shape: &Self::Shape) -> Vec<u8>;
+    /// Select the monomorphized intrinsics kernel for `shape`.
+    fn select(shape: &Self::Shape) -> PortableFn<Self>;
+}
+
+/// f32 forward/backward flavour (`vfmadd231ps`).
+pub struct F32Fwd;
+/// f32 weight-gradient flavour; operands are `(input@tap, dO, dW panel)`.
+pub struct F32Upd;
+/// int16 forward flavour (`vpdpwssd`, int32 accumulators). The JIT
+/// path additionally requires AVX-512 VNNI on the host.
+pub struct I16Fwd;
+
+impl Flavor for F32Fwd {
+    type Shape = KernelShape;
+    type In = f32;
+    type Acc = f32;
+    const BOUNDED_CHAIN: bool = false;
+    const SCALAR: PortableFn<Self> = microkernel::fwd::fwd_scalar;
+    fn spec(shape: &KernelShape) -> kver::KernelSpec {
+        kver::KernelSpec::FwdF32(*shape)
+    }
+    fn validate(shape: &KernelShape) {
+        shape.validate()
+    }
+    fn jit_available() -> bool {
+        jit::jit_available()
+    }
+    fn assemble(shape: &KernelShape) -> Vec<u8> {
+        jit::assemble_fwd(shape)
+    }
+    fn select(shape: &KernelShape) -> PortableFn<Self> {
+        microkernel::select_fwd(shape)
+    }
+}
+
+impl Flavor for F32Upd {
+    type Shape = UpdShape;
+    type In = f32;
+    type Acc = f32;
+    const BOUNDED_CHAIN: bool = false;
+    const SCALAR: PortableFn<Self> = microkernel::upd::upd_scalar;
+    fn spec(shape: &UpdShape) -> kver::KernelSpec {
+        kver::KernelSpec::UpdF32(*shape)
+    }
+    fn validate(shape: &UpdShape) {
+        shape.validate()
+    }
+    fn jit_available() -> bool {
+        jit::jit_available()
+    }
+    fn assemble(shape: &UpdShape) -> Vec<u8> {
+        jit::assemble_upd(shape)
+    }
+    fn select(shape: &UpdShape) -> PortableFn<Self> {
+        microkernel::select_upd(shape)
+    }
+}
+
+impl Flavor for I16Fwd {
+    type Shape = KernelShape;
+    type In = i16;
+    type Acc = i32;
+    const BOUNDED_CHAIN: bool = true;
+    const SCALAR: PortableFn<Self> = microkernel::quant::quant_scalar;
+    fn spec(shape: &KernelShape) -> kver::KernelSpec {
+        kver::KernelSpec::QuantI16(*shape)
+    }
+    fn validate(shape: &KernelShape) {
+        shape.validate()
+    }
+    fn jit_available() -> bool {
+        jit::jit_available() && microkernel::has_vnni()
+    }
+    fn assemble(shape: &KernelShape) -> Vec<u8> {
+        jit::assemble_quant(shape)
+    }
+    fn select(shape: &KernelShape) -> PortableFn<Self> {
+        microkernel::select_quant(shape)
+    }
+}
+
+enum Imp<F: Flavor> {
     Jit {
         #[allow(dead_code)] // owns the mapping the fn pointer points into
         buf: CodeBuffer,
-        f: jit::F32Kernel,
+        f: JitFn<F>,
     },
-    Portable(microkernel::FwdFn),
+    Portable(PortableFn<F>),
     Scalar,
 }
 
-/// A ready-to-call forward/backward microkernel. Cloning is cheap: the
+/// A ready-to-call microkernel of flavour `F`. Cloning is cheap: the
 /// generated code is shared behind an `Arc`.
-#[derive(Clone)]
-pub struct FwdKernel {
-    shape: KernelShape,
-    imp: Arc<FwdImpl>,
+pub struct Kernel<F: Flavor> {
+    shape: F::Shape,
+    imp: Arc<Imp<F>>,
 }
 
-impl FwdKernel {
+/// Forward/backward f32 kernel handle.
+pub type FwdKernel = Kernel<F32Fwd>;
+/// Weight-gradient f32 kernel handle.
+pub type UpdKernel = Kernel<F32Upd>;
+/// int16 kernel handle (Section II-K).
+pub type QuantKernel = Kernel<I16Fwd>;
+
+impl<F: Flavor> Clone for Kernel<F> {
+    fn clone(&self) -> Self {
+        Self { shape: self.shape, imp: Arc::clone(&self.imp) }
+    }
+}
+
+/// `Auto` is JIT when the flavour can run it here, else intrinsics.
+fn resolve<F: Flavor>(backend: Backend) -> Backend {
+    match backend {
+        Backend::Auto if F::jit_available() => Backend::Jit,
+        Backend::Auto => Backend::Intrinsics,
+        other => other,
+    }
+}
+
+impl<F: Flavor> Kernel<F> {
     /// Generate/select a kernel for `shape` on `backend`.
-    pub fn new(shape: KernelShape, backend: Backend) -> Self {
-        shape.validate();
-        let imp = match backend.resolve() {
+    pub fn new(shape: F::Shape, backend: Backend) -> Self {
+        F::validate(&shape);
+        let imp = match resolve::<F>(backend) {
             Backend::Jit => {
-                let code = jit::assemble_fwd(&shape);
-                let buf = CodeBuffer::from_kernel(&code, &kver::KernelSpec::FwdF32(shape))
+                assert!(
+                    F::jit_available(),
+                    "JIT backend unavailable for this flavour on this host"
+                );
+                let buf = CodeBuffer::from_kernel(&F::assemble(&shape), &F::spec(&shape))
                     .expect("verified executable JIT kernel");
-                // SAFETY: the buffer holds a kernel with the F32Kernel ABI.
-                let f = unsafe { buf.as_f32_kernel() };
-                FwdImpl::Jit { buf, f }
+                // SAFETY: the buffer holds a kernel emitted by the
+                // flavour's own assembler, which follows the JitFn ABI.
+                let f = unsafe { std::mem::transmute::<*const u8, JitFn<F>>(buf.as_ptr()) };
+                Imp::Jit { buf, f }
             }
-            Backend::Intrinsics => FwdImpl::Portable(microkernel::select_fwd(&shape)),
-            Backend::Scalar => FwdImpl::Scalar,
+            Backend::Intrinsics => Imp::Portable(F::select(&shape)),
+            Backend::Scalar => Imp::Scalar,
             Backend::Auto => unreachable!(),
         };
         Self { shape, imp: Arc::new(imp) }
     }
 
-    /// As [`FwdKernel::new`] but consulting the process-wide code
-    /// cache: identical `(shape, resolved backend)` requests share one
+    /// As [`Kernel::new`] but consulting the process-wide code cache:
+    /// identical `(descriptor, resolved backend)` requests share one
     /// generated kernel. Plans use this path so repeated layer shapes
     /// JIT once per process.
-    pub fn cached(shape: KernelShape, backend: Backend) -> Self {
-        let key = (shape, backend.resolve());
-        let cache = kernel_cache();
-        let mut map = cache.fwd.lock().unwrap();
-        if let Some(k) = map.get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
+    pub fn cached(shape: F::Shape, backend: Backend) -> Self {
+        let key = (F::spec(&shape), resolve::<F>(backend));
+        let mut map = CODE_CACHE.lock().unwrap();
+        if let Some(imp) = map.get(&key) {
+            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+            let imp = Arc::clone(imp).downcast().expect("the key's class names the flavour");
+            return Self { shape, imp };
         }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
+        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
         let k = Self::new(shape, key.1);
-        map.insert(key, k.clone());
+        map.insert(key, k.imp.clone());
         k
     }
 
     /// The descriptor this kernel was generated for.
     #[inline]
-    pub fn shape(&self) -> &KernelShape {
+    pub fn shape(&self) -> &F::Shape {
         &self.shape
     }
 
     /// Which backend the handle resolved to.
     pub fn backend_name(&self) -> &'static str {
         match *self.imp {
-            FwdImpl::Jit { .. } => "jit",
-            FwdImpl::Portable(_) => "intrinsics",
-            FwdImpl::Scalar => "scalar",
+            Imp::Jit { .. } => "jit",
+            Imp::Portable(_) => "intrinsics",
+            Imp::Scalar => "scalar",
         }
     }
 
-    /// Invoke the kernel (Section II-E six-pointer ABI).
+    /// Invoke the kernel (Section II-E six-pointer ABI): two input
+    /// operands, the accumulated output, and their prefetch twins.
     ///
     /// # Safety
     /// The pointers must be valid for the extents implied by the
-    /// kernel's [`KernelShape`]; `out` must not alias `inp`/`wt`.
+    /// kernel's descriptor; `out` must not alias `inp`/`wt`.
     #[inline]
     pub unsafe fn call(
         &self,
-        inp: *const f32,
-        wt: *const f32,
-        out: *mut f32,
-        pf_in: *const f32,
-        pf_wt: *const f32,
-        pf_out: *const f32,
+        inp: *const F::In,
+        wt: *const F::In,
+        out: *mut F::Acc,
+        pf_in: *const F::In,
+        pf_wt: *const F::In,
+        pf_out: *const F::Acc,
     ) {
         match &*self.imp {
-            FwdImpl::Jit { f, .. } => f(inp, wt, out, pf_in, pf_wt, pf_out),
-            FwdImpl::Portable(f) => f(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out),
-            FwdImpl::Scalar => {
-                microkernel::fwd::fwd_scalar(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out)
-            }
-        }
-    }
-}
-
-enum UpdImpl {
-    Jit {
-        #[allow(dead_code)]
-        buf: CodeBuffer,
-        f: jit::F32Kernel,
-    },
-    Portable(microkernel::UpdFn),
-    Scalar,
-}
-
-/// A ready-to-call weight-gradient microkernel. Cloning shares the
-/// generated code behind an `Arc`.
-#[derive(Clone)]
-pub struct UpdKernel {
-    shape: UpdShape,
-    imp: Arc<UpdImpl>,
-}
-
-impl UpdKernel {
-    /// Generate/select an update kernel for `shape` on `backend`.
-    pub fn new(shape: UpdShape, backend: Backend) -> Self {
-        shape.validate();
-        let imp = match backend.resolve() {
-            Backend::Jit => {
-                let code = jit::assemble_upd(&shape);
-                let buf = CodeBuffer::from_kernel(&code, &kver::KernelSpec::UpdF32(shape))
-                    .expect("verified executable JIT kernel");
-                // SAFETY: the buffer holds a kernel with the F32Kernel ABI.
-                let f = unsafe { buf.as_f32_kernel() };
-                UpdImpl::Jit { buf, f }
-            }
-            Backend::Intrinsics => UpdImpl::Portable(microkernel::select_upd(&shape)),
-            Backend::Scalar => UpdImpl::Scalar,
-            Backend::Auto => unreachable!(),
-        };
-        Self { shape, imp: Arc::new(imp) }
-    }
-
-    /// As [`UpdKernel::new`] but through the process-wide code cache.
-    pub fn cached(shape: UpdShape, backend: Backend) -> Self {
-        let key = (shape, backend.resolve());
-        let cache = kernel_cache();
-        let mut map = cache.upd.lock().unwrap();
-        if let Some(k) = map.get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let k = Self::new(shape, key.1);
-        map.insert(key, k.clone());
-        k
-    }
-
-    /// The descriptor this kernel was generated for.
-    #[inline]
-    pub fn shape(&self) -> &UpdShape {
-        &self.shape
-    }
-
-    /// Invoke: `(input@tap, dO, dW_panel, prefetch…)`.
-    ///
-    /// # Safety
-    /// Pointer validity per the [`UpdShape`] extents; `dw` must not
-    /// alias the inputs.
-    #[inline]
-    pub unsafe fn call(
-        &self,
-        inp: *const f32,
-        dout: *const f32,
-        dw: *mut f32,
-        pf_in: *const f32,
-        pf_do: *const f32,
-        pf_dw: *const f32,
-    ) {
-        match &*self.imp {
-            UpdImpl::Jit { f, .. } => f(inp, dout, dw, pf_in, pf_do, pf_dw),
-            UpdImpl::Portable(f) => f(&self.shape, inp, dout, dw, pf_in, pf_do, pf_dw),
-            UpdImpl::Scalar => {
-                microkernel::upd::upd_scalar(&self.shape, inp, dout, dw, pf_in, pf_do, pf_dw)
-            }
-        }
-    }
-}
-
-enum QuantImpl {
-    Jit {
-        #[allow(dead_code)]
-        buf: CodeBuffer,
-        f: jit::I16Kernel,
-    },
-    Portable(microkernel::QuantFn),
-    Scalar,
-}
-
-/// A ready-to-call int16 microkernel (Section II-K). Cloning shares
-/// the generated code behind an `Arc`.
-#[derive(Clone)]
-pub struct QuantKernel {
-    shape: KernelShape,
-    imp: Arc<QuantImpl>,
-}
-
-impl QuantKernel {
-    /// Generate/select an int16 kernel. The JIT path additionally
-    /// requires AVX-512 VNNI on the host.
-    pub fn new(shape: KernelShape, backend: Backend) -> Self {
-        shape.validate();
-        let jit_ok = jit::jit_available() && microkernel::has_vnni();
-        let imp = match backend {
-            Backend::Jit | Backend::Auto if jit_ok => {
-                let code = jit::assemble_quant(&shape);
-                let buf = CodeBuffer::from_kernel(&code, &kver::KernelSpec::QuantI16(shape))
-                    .expect("verified executable JIT kernel");
-                // SAFETY: the buffer holds a kernel with the I16Kernel ABI.
-                let f = unsafe { buf.as_i16_kernel() };
-                QuantImpl::Jit { buf, f }
-            }
-            Backend::Jit => panic!("JIT int16 backend requires executable memory + AVX-512 VNNI"),
-            Backend::Scalar => QuantImpl::Scalar,
-            _ => QuantImpl::Portable(microkernel::select_quant(&shape)),
-        };
-        Self { shape, imp: Arc::new(imp) }
-    }
-
-    /// As [`QuantKernel::new`] but through the process-wide code cache.
-    /// Keyed on the *unresolved* backend: int16 resolution depends on
-    /// host VNNI support, which is constant for the process lifetime.
-    pub fn cached(shape: KernelShape, backend: Backend) -> Self {
-        let key = (shape, backend);
-        let cache = kernel_cache();
-        let mut map = cache.quant.lock().unwrap();
-        if let Some(k) = map.get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            return k.clone();
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        let k = Self::new(shape, backend);
-        map.insert(key, k.clone());
-        k
-    }
-
-    /// The descriptor this kernel was generated for.
-    #[inline]
-    pub fn shape(&self) -> &KernelShape {
-        &self.shape
-    }
-
-    /// Invoke on int16 inputs / int32 outputs.
-    ///
-    /// # Safety
-    /// Pointer validity per the [`KernelShape`] extents.
-    #[inline]
-    pub unsafe fn call(
-        &self,
-        inp: *const i16,
-        wt: *const i16,
-        out: *mut i32,
-        pf_in: *const i16,
-        pf_wt: *const i16,
-        pf_out: *const i32,
-    ) {
-        match &*self.imp {
-            QuantImpl::Jit { f, .. } => f(inp, wt, out, pf_in, pf_wt, pf_out),
-            QuantImpl::Portable(f) => f(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out),
-            QuantImpl::Scalar => {
-                microkernel::quant::quant_scalar(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out)
-            }
+            Imp::Jit { f, .. } => f(inp, wt, out, pf_in, pf_wt, pf_out),
+            Imp::Portable(f) => f(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out),
+            Imp::Scalar => (F::SCALAR)(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out),
         }
     }
 }
@@ -429,33 +385,67 @@ mod tests {
         }
     }
 
+    /// One invocation of `sh` per backend (scalar, intrinsics, and JIT
+    /// when this host can run the flavour's code) on the same operands.
+    fn outputs<F: Flavor>(
+        sh: F::Shape,
+        ext: microkernel::Extents,
+        gen: impl Fn(usize) -> F::In,
+        zero: F::Acc,
+    ) -> Vec<Vec<F::Acc>> {
+        let inp: Vec<F::In> = (0..ext.input).map(|i| gen(i % 13)).collect();
+        let wt: Vec<F::In> = (0..ext.weights).map(|i| gen(i % 7 + 3)).collect();
+        let mut backends = vec![Backend::Scalar, Backend::Intrinsics];
+        if F::jit_available() {
+            backends.push(Backend::Jit);
+        }
+        backends
+            .into_iter()
+            .map(|backend| {
+                let k = Kernel::<F>::new(sh, backend);
+                let mut out = vec![zero; ext.output];
+                // SAFETY: buffers cover the descriptor's extents; the
+                // shapes disable prefetch, so null prefetch pointers
+                // are never dereferenced.
+                unsafe {
+                    k.call(
+                        inp.as_ptr(),
+                        wt.as_ptr(),
+                        out.as_mut_ptr(),
+                        std::ptr::null(),
+                        std::ptr::null(),
+                        std::ptr::null(),
+                    )
+                };
+                out
+            })
+            .collect()
+    }
+
     #[test]
     fn all_backends_agree() {
-        let sh = shape();
-        let inp: Vec<f32> = (0..sh.in_cb_stride + 256).map(|i| (i % 13) as f32 * 0.25).collect();
-        let wt: Vec<f32> = (0..256).map(|i| (i % 7) as f32 * 0.5 - 1.0).collect();
-        let run = |backend| {
-            let k = FwdKernel::new(sh, backend);
-            let mut out = vec![0.0f32; 16 * 16 * VLEN];
-            // SAFETY: buffers sized for the shape's extents above.
-            unsafe {
-                k.call(
-                    inp.as_ptr(),
-                    wt.as_ptr(),
-                    out.as_mut_ptr(),
-                    std::ptr::null(),
-                    std::ptr::null(),
-                    std::ptr::null(),
-                )
-            };
-            out
+        let sh = KernelShape { r: 3, s: 3, cb_inner: 2, ..shape() };
+        let upd = UpdShape {
+            bp: 3,
+            bq: 8,
+            stride: 2,
+            in_row_stride: 20 * VLEN,
+            do_row_stride: 8 * VLEN,
+            prefetch: false,
         };
-        let scalar = run(Backend::Scalar);
-        let intr = run(Backend::Intrinsics);
-        assert!(tensor::Norms::compare(&scalar, &intr).ok(1e-5));
-        if jit::jit_available() {
-            let j = run(Backend::Jit);
-            assert!(tensor::Norms::compare(&scalar, &j).ok(1e-5));
+        let f32_gen = |i: usize| i as f32 * 0.25 - 1.0;
+        let fwd = outputs::<F32Fwd>(sh, sh.extents(), f32_gen, 0.0);
+        let upd = outputs::<F32Upd>(upd, upd.extents(), f32_gen, 0.0);
+        for outs in [fwd, upd] {
+            assert!(outs[0].iter().any(|&v| v != 0.0), "the oracle computed something");
+            for o in &outs[1..] {
+                assert!(tensor::Norms::compare(&outs[0], o).ok(1e-5));
+            }
+        }
+        let quant = outputs::<I16Fwd>(sh, sh.extents(), |i| i as i16 * 37 - 200, 0);
+        assert!(quant[0].iter().any(|&v| v != 0));
+        for o in &quant[1..] {
+            assert_eq!(&quant[0], o, "int32 accumulators must be bit-exact");
         }
     }
 }

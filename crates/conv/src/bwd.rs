@@ -18,8 +18,8 @@
 
 use crate::blocking;
 use crate::fuse::{FuseCtx, FusedOp};
-use crate::fwd::{FwdPlan, OutGeom, SendConstPtr, SendMutPtr};
-use crate::Backend;
+use crate::fwd::{FwdPlan, OutGeom, PlanRequest};
+use crate::streams::SendPtr;
 use parallel::{FlatPartition, ThreadPool};
 use smallgemm::SmallGemm;
 use std::sync::Mutex;
@@ -34,6 +34,69 @@ pub enum BwdKind {
     Dual1x1,
     /// Algorithm 7 small-GEMM loop nest.
     GemmFallback,
+}
+
+impl BwdKind {
+    /// The strategy `shape` takes.
+    pub(crate) fn of(shape: &ConvShape) -> Self {
+        // the transpose-flip duality needs per-dimension dual padding
+        // (r−1−pad_h, s−1−pad_w); with a single symmetric pad it is
+        // only available for square filters — asymmetric (1×7 / 7×1)
+        // Inception factorizations take the Algorithm 7 fallback
+        if shape.r == 1 && shape.s == 1 && shape.stride > 1 {
+            BwdKind::Dual1x1
+        } else if shape.stride == 1 && shape.r == shape.s && shape.r > shape.pad {
+            BwdKind::DualStride1
+        } else {
+            BwdKind::GemmFallback
+        }
+    }
+
+    /// Physical padding this strategy needs on the dO tensor.
+    pub(crate) fn dout_pad(self, shape: &ConvShape) -> usize {
+        match self {
+            BwdKind::DualStride1 => shape.r - 1 - shape.pad,
+            _ => 0,
+        }
+    }
+}
+
+/// The duality transform (Section II-I), derived once for the f32 and
+/// the int16 backward plans: the forward request on the dual shape —
+/// dO (physically padded by `R−1−pad`) plays the input and the dual
+/// output is written through dI's geometry (`req.input_pad` physical
+/// padding), at stride-multiple pixels for the strided 1×1 duality.
+/// `None` for shapes that take the Algorithm 7 fallback.
+pub(crate) fn dual_request(req: &PlanRequest) -> Option<PlanRequest> {
+    let (sh, pad) = (req.shape, req.input_pad);
+    let kind = BwdKind::of(&sh);
+    if kind == BwdKind::GemmFallback {
+        return None;
+    }
+    if kind == BwdKind::Dual1x1 {
+        assert_eq!(sh.pad, 0, "1x1 layers carry no padding");
+    }
+    let dual = ConvShape::new(sh.n, sh.k, sh.c, sh.p(), sh.q(), sh.r, sh.s, 1, kind.dout_pad(&sh));
+    debug_assert!(kind != BwdKind::DualStride1 || (dual.p(), dual.q()) == (sh.h, sh.w));
+    // pixel (oj, oi) of the dual output lands at dI[stride·oj][stride·oi]
+    let di_row = (sh.w + 2 * pad) * VLEN;
+    let di_cb = (sh.h + 2 * pad) * di_row;
+    let out_geom = OutGeom {
+        row_stride: sh.stride * di_row,
+        col_stride: sh.stride * VLEN,
+        kb_stride: di_cb,
+        n_stride: sh.cb() * di_cb,
+        base: pad * (di_row + VLEN),
+    };
+    Some(PlanRequest {
+        shape: dual,
+        blocking: blocking::choose(&dual),
+        fused: FusedOp::None,
+        input_pad: dual.pad,
+        out_pad: 0,
+        out_geom: Some(out_geom),
+        ..*req
+    })
 }
 
 /// Planned backward pass.
@@ -56,124 +119,24 @@ pub struct BwdPlan {
 }
 
 impl BwdPlan {
-    /// Choose the strategy and dryrun the dual plan.
-    pub fn new(shape: ConvShape, nthreads: usize, backend: Backend, prefetch: bool) -> Self {
-        Self::with_input_pad(shape, nthreads, backend, prefetch, shape.pad)
-    }
-
-    /// As [`BwdPlan::new`] but writing dI into a tensor carrying
-    /// `input_pad ≥ shape.pad` physical padding.
-    pub fn with_input_pad(
-        shape: ConvShape,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        input_pad: usize,
-    ) -> Self {
-        // the transpose-flip duality needs per-dimension dual padding
-        // (r−1−pad_h, s−1−pad_w); with a single symmetric pad it is
-        // only available for square filters — asymmetric (1×7 / 7×1)
-        // Inception factorizations take the Algorithm 7 fallback
-        let kind = if shape.r == 1 && shape.s == 1 {
-            if shape.stride == 1 {
-                BwdKind::DualStride1
-            } else {
-                BwdKind::Dual1x1
-            }
-        } else if shape.stride == 1 && shape.r == shape.s && shape.r > shape.pad {
-            BwdKind::DualStride1
-        } else {
-            BwdKind::GemmFallback
-        };
-        match kind {
-            BwdKind::DualStride1 => {
-                assert!(shape.r > shape.pad, "pad larger than filter");
-                let dual_pad = shape.r - 1 - shape.pad;
-                let dual = ConvShape::new(
-                    shape.n,
-                    shape.k,
-                    shape.c,
-                    shape.p(),
-                    shape.q(),
-                    shape.r,
-                    shape.s,
-                    1,
-                    dual_pad,
-                );
-                debug_assert_eq!(dual.p(), shape.h);
-                debug_assert_eq!(dual.q(), shape.w);
-                // dI is written into the (padded) input-geometry tensor
-                let out_geom = di_geom(&shape, input_pad);
-                let b = blocking::choose(&dual);
-                let plan = FwdPlan::new(
-                    dual,
-                    b,
-                    nthreads,
-                    backend,
-                    prefetch,
-                    FusedOp::None,
-                    Some(out_geom),
-                );
-                Self {
-                    shape,
-                    kind,
-                    dual: Some(plan),
-                    gemm: None,
-                    nthreads,
-                    input_pad,
-                    repad_scratch: Mutex::new(None),
-                }
-            }
-            BwdKind::Dual1x1 => {
-                assert_eq!(shape.pad, 0, "1x1 layers carry no padding");
-                let dual =
-                    ConvShape::new(shape.n, shape.k, shape.c, shape.p(), shape.q(), 1, 1, 1, 0);
-                // strided writes into dI: pixel (oj, oi) of the dual
-                // output lands at dI[stride*oj][stride*oi]
-                let di_row = (shape.w + 2 * input_pad) * VLEN;
-                let di_cb = (shape.h + 2 * input_pad) * di_row;
-                let out_geom = OutGeom {
-                    row_stride: shape.stride * di_row,
-                    col_stride: shape.stride * VLEN,
-                    kb_stride: di_cb,
-                    n_stride: shape.cb() * di_cb,
-                    base: input_pad * (di_row + VLEN),
-                };
-                let b = blocking::choose(&dual);
-                let plan = FwdPlan::new(
-                    dual,
-                    b,
-                    nthreads,
-                    backend,
-                    prefetch,
-                    FusedOp::None,
-                    Some(out_geom),
-                );
-                Self {
-                    shape,
-                    kind,
-                    dual: Some(plan),
-                    gemm: None,
-                    nthreads,
-                    input_pad,
-                    repad_scratch: Mutex::new(None),
-                }
-            }
-            BwdKind::GemmFallback => {
-                // C[Q×VLEN] += A[Q×VLEN] · B[VLEN×VLEN]; C rows are
-                // dI pixels strided by stride·VLEN
-                let gemm =
-                    SmallGemm::new(shape.q(), VLEN, VLEN, VLEN, VLEN, shape.stride * VLEN, true);
-                Self {
-                    shape,
-                    kind,
-                    dual: None,
-                    gemm: Some(gemm),
-                    nthreads,
-                    input_pad,
-                    repad_scratch: Mutex::new(None),
-                }
-            }
+    /// Choose the strategy and dryrun the dual plan; dI is written
+    /// into a tensor carrying the request's `input_pad`.
+    pub fn new(req: &PlanRequest) -> Self {
+        let shape = req.shape;
+        let dual = dual_request(req).map(|d| FwdPlan::new(&d));
+        // the fallback: C[Q×VLEN] += A[Q×VLEN] · B[VLEN×VLEN]; C rows
+        // are dI pixels strided by stride·VLEN
+        let gemm = dual
+            .is_none()
+            .then(|| SmallGemm::new(shape.q(), VLEN, VLEN, VLEN, VLEN, shape.stride * VLEN, true));
+        Self {
+            shape,
+            kind: BwdKind::of(&shape),
+            dual,
+            gemm,
+            nthreads: req.threads,
+            input_pad: req.input_pad,
+            repad_scratch: Mutex::new(None),
         }
     }
 
@@ -185,10 +148,7 @@ impl BwdPlan {
     /// Physical padding the dual path needs on the dO tensor (callers
     /// allocating gradient buffers with this padding avoid a copy).
     pub fn dout_pad(&self) -> usize {
-        match self.kind {
-            BwdKind::DualStride1 => self.shape.r - 1 - self.shape.pad,
-            _ => 0,
-        }
+        self.kind.dout_pad(&self.shape)
     }
 
     /// Execute: `dinput = conv_bwd(dout, weights)`.
@@ -217,12 +177,17 @@ impl BwdPlan {
         let need = self.dout_pad();
         let scratch = (dout.pad != need).then(|| self.repad_to_scratch(pool, dout, need));
         let src = scratch.as_ref().unwrap_or(dout);
-        match self.kind {
-            BwdKind::DualStride1 => {
+        match &self.dual {
+            Some(dual) => {
                 let wt = weights.transpose_flip();
-                // SAFETY: dual plan geometry matches these tensors.
+                if self.kind == BwdKind::Dual1x1 {
+                    // strided writes leave the other pixels untouched
+                    dinput.zero();
+                }
+                // SAFETY: the dual plan's geometry matches these
+                // tensors; its out-geom targets dinput's interior.
                 unsafe {
-                    self.dual.as_ref().unwrap().run_raw(
+                    dual.run_raw(
                         pool,
                         src.as_ptr(),
                         wt.as_ptr(),
@@ -231,23 +196,7 @@ impl BwdPlan {
                     )
                 };
             }
-            BwdKind::Dual1x1 => {
-                let wt = weights.transpose_flip();
-                dinput.zero();
-                // SAFETY: strided out-geom targets dinput's interior.
-                unsafe {
-                    self.dual.as_ref().unwrap().run_raw(
-                        pool,
-                        src.as_ptr(),
-                        wt.as_ptr(),
-                        dinput.as_mut_ptr(),
-                        &FuseCtx::default(),
-                    )
-                };
-            }
-            BwdKind::GemmFallback => {
-                self.run_gemm(pool, src, weights, dinput);
-            }
+            None => self.run_gemm(pool, src, weights, dinput),
         }
         if let Some(buf) = scratch {
             *self.repad_scratch.lock().unwrap() = Some(buf);
@@ -280,8 +229,8 @@ impl BwdPlan {
         let gemm = self.gemm.as_ref().unwrap();
         let p_dim = sh.p();
         let part = FlatPartition::new([sh.n, sh.cb(), 1, 1]);
-        let di = SendMutPtr(dinput.as_mut_ptr());
-        let go = SendConstPtr(dout.as_ptr());
+        let di = SendPtr(dinput.as_mut_ptr());
+        let go = SendPtr::new(dout.as_ptr());
         let wt_ref = &wt;
         let di_row = dinput.stride_h();
         let di_cb = dinput.stride_cb();
@@ -327,19 +276,6 @@ impl BwdPlan {
     }
 }
 
-/// dI output geometry: the (padded) input tensor of the layer.
-fn di_geom(shape: &ConvShape, input_pad: usize) -> OutGeom {
-    let row = (shape.w + 2 * input_pad) * VLEN;
-    let cb = (shape.h + 2 * input_pad) * row;
-    OutGeom {
-        row_stride: row,
-        col_stride: VLEN,
-        kb_stride: cb,
-        n_stride: shape.cb() * cb,
-        base: input_pad * row + input_pad * VLEN,
-    }
-}
-
 /// Copy `src`'s logical interior into `dst`, which carries different
 /// physical padding. Only interior rows are written, so a zero border
 /// stays zero across reuses of the same destination buffer.
@@ -347,7 +283,7 @@ pub(crate) fn repad_into(pool: &ThreadPool, src: &BlockedActs, dst: &mut Blocked
     assert_eq!((dst.n, dst.c, dst.h, dst.w), (src.n, src.c, src.h, src.w), "repad geometry");
     let pad = dst.pad;
     let rows_total = src.n * src.cb * src.h;
-    let dptr = SendMutPtr(dst.as_mut_ptr());
+    let dptr = SendPtr(dst.as_mut_ptr());
     let wp_new = src.w + 2 * pad;
     let hp_new = src.h + 2 * pad;
     pool.run(|ctx| {
@@ -396,12 +332,18 @@ fn zero_border(t: &mut BlockedActs) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LayerOptions;
+
+    fn plan(shape: ConvShape, threads: usize) -> BwdPlan {
+        let opts = LayerOptions::new(threads).with_prefetch(false);
+        BwdPlan::new(&PlanRequest::new(shape, blocking::choose(&shape), &opts))
+    }
     use crate::reference::conv_bwd_ref;
     use tensor::{Kcrs, Nchw, Norms};
 
     fn run_case(shape: ConvShape, threads: usize) -> BwdKind {
         let pool = ThreadPool::new(threads);
-        let plan = BwdPlan::new(shape, threads, Backend::Auto, false);
+        let plan = plan(shape, threads);
 
         let gy = Nchw::random(shape.n, shape.k, shape.p(), shape.q(), 3);
         let w = Kcrs::random(shape.k, shape.c, shape.r, shape.s, 4);
@@ -457,7 +399,7 @@ mod tests {
     fn dout_without_padding_takes_copy_path() {
         let shape = ConvShape::new(1, 16, 16, 8, 8, 3, 3, 1, 1);
         let pool = ThreadPool::new(2);
-        let plan = BwdPlan::new(shape, 2, Backend::Auto, false);
+        let plan = plan(shape, 2);
         assert_eq!(plan.dout_pad(), 1); // R−1−pad = 3−1−1
         let gy = Nchw::random(1, 16, 8, 8, 3);
         let w = Kcrs::random(16, 16, 3, 3, 4);
@@ -475,7 +417,7 @@ mod tests {
     fn repad_scratch_is_reused_across_calls() {
         let shape = ConvShape::new(1, 16, 16, 8, 8, 3, 3, 1, 1);
         let pool = ThreadPool::new(2);
-        let plan = BwdPlan::new(shape, 2, Backend::Auto, false);
+        let plan = plan(shape, 2);
         assert!(plan.dout_pad() > 0);
         let gy = Nchw::random(1, 16, 8, 8, 3);
         let w = Kcrs::random(16, 16, 3, 3, 4);
@@ -495,7 +437,7 @@ mod tests {
     fn border_stays_zero_after_gemm_fallback() {
         let shape = ConvShape::new(1, 16, 16, 10, 10, 3, 3, 2, 1);
         let pool = ThreadPool::new(2);
-        let plan = BwdPlan::new(shape, 2, Backend::Auto, false);
+        let plan = plan(shape, 2);
         let gy = Nchw::random(1, 16, shape.p(), shape.q(), 3);
         let w = Kcrs::random(16, 16, 3, 3, 4);
         let gyb = BlockedActs::from_nchw(&gy, 0);

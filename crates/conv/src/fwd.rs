@@ -12,10 +12,12 @@
 //! `FwdPlan` for the dual shape (Section II-I) with, where needed, a
 //! strided output geometry.
 
-use crate::backend::{Backend, FwdKernel};
+use crate::backend::{Backend, F32Fwd, Flavor, Kernel};
 use crate::blocking::Blocking;
-use crate::fuse::{ApplyRec, FuseCtx, FusedOp};
-use crate::streams::Stream;
+use crate::bwd::BwdKind;
+use crate::fuse::{apply_tile, ApplyRec, FuseCtx, FusedOp};
+use crate::layer::LayerOptions;
+use crate::streams::{SendPtr, Stream};
 use microkernel::KernelShape;
 use parallel::{FlatPartition, ThreadPool};
 use std::collections::HashMap;
@@ -62,11 +64,86 @@ impl OutGeom {
     }
 }
 
+/// One plan request: everything a dryrun is parameterized by, derived
+/// from a [`LayerOptions`] once and consumed by every plan constructor
+/// (`FwdPlan`/`QuantFwdPlan`/`BwdPlan`/`UpdPlan`) of the layer.
+#[derive(Clone, Copy, Debug)]
+pub struct PlanRequest {
+    pub(crate) shape: ConvShape,
+    pub(crate) blocking: Blocking,
+    pub(crate) threads: usize,
+    pub(crate) backend: Backend,
+    pub(crate) prefetch: bool,
+    /// `FusedOp::None` builds a *raw* plan with no APPLY segments.
+    pub(crate) fused: FusedOp,
+    /// Physical padding of the input tensor (≥ `shape.pad`).
+    pub(crate) input_pad: usize,
+    /// Physical padding of the gradient-output tensor (update pass).
+    pub(crate) dout_pad: usize,
+    /// Physical padding of the output tensor `run` writes.
+    pub(crate) out_pad: usize,
+    /// Accumulation-chain bound (channel blocks) of chain-bounded
+    /// flavours; ignored by the f32 ones.
+    pub(crate) chain_limit: usize,
+    /// Explicit output geometry (the backward duality's strided dI
+    /// writes, executed through `run_raw`); overrides `out_pad`.
+    pub(crate) out_geom: Option<OutGeom>,
+}
+
+impl PlanRequest {
+    /// The request `opts` describes for `shape` under `blocking`:
+    /// paddings default to the conv's own pad (input), the
+    /// duality-optimal padding (dO) and the options' `out_pad`.
+    pub fn new(shape: ConvShape, blocking: Blocking, opts: &LayerOptions) -> Self {
+        let input_pad = opts.input_pad.unwrap_or(shape.pad);
+        assert!(input_pad >= shape.pad, "input tensor padding below the conv's pad");
+        Self {
+            shape,
+            blocking,
+            threads: opts.threads,
+            backend: opts.backend,
+            prefetch: opts.prefetch,
+            fused: opts.fuse,
+            input_pad,
+            dout_pad: opts.dout_pad.unwrap_or_else(|| BwdKind::of(&shape).dout_pad(&shape)),
+            out_pad: opts.out_pad,
+            chain_limit: opts.chain_limit,
+            out_geom: None,
+        }
+    }
+
+    /// Descriptor of the `rows × cols` tile kernel this request's
+    /// dryrun calls (initializing or accumulating `cb` step).
+    fn kernel_shape(
+        &self,
+        out_geom: &OutGeom,
+        rows: usize,
+        cols: usize,
+        init: bool,
+    ) -> KernelShape {
+        let in_row = (self.shape.w + 2 * self.input_pad) * VLEN;
+        KernelShape {
+            rbp: rows,
+            rbq: cols,
+            r: self.shape.r,
+            s: self.shape.s,
+            stride: self.shape.stride,
+            cb_inner: self.blocking.cb_inner,
+            in_row_stride: in_row,
+            in_cb_stride: (self.shape.h + 2 * self.input_pad) * in_row,
+            out_row_stride: out_geom.row_stride,
+            out_col_stride: out_geom.col_stride,
+            init_zero: init,
+            prefetch: self.prefetch,
+        }
+    }
+}
+
 /// Enumerate every [`KernelShape`] variant a forward dryrun for
 /// `(shape, blocking)` can generate against a dense output and
 /// `shape.pad` physical input padding: main tiles, spatial remainder
 /// tiles, and the initializing/accumulating `cb`-step variants. The
-/// int16 quantized plan draws from the *same* population, so this one
+/// int16 plan draws from the *same* population, so this one
 /// enumeration feeds both the `verify-kernels` sweep and the verifier
 /// property tests.
 pub fn kernel_shape_variants(
@@ -74,11 +151,11 @@ pub fn kernel_shape_variants(
     blocking: &Blocking,
     prefetch: bool,
 ) -> Vec<KernelShape> {
+    let opts = LayerOptions::new(1).with_prefetch(prefetch);
+    let req = PlanRequest::new(*shape, *blocking, &opts);
     let out_geom = OutGeom::dense(shape);
     let cb_steps = shape.cb() / blocking.cb_inner;
     assert_eq!(cb_steps * blocking.cb_inner, shape.cb(), "cb_inner must divide Cb");
-    let in_row = (shape.w + 2 * shape.pad) * VLEN;
-    let in_cb = (shape.h + 2 * shape.pad) * in_row;
     let (p, q) = (shape.p(), shape.q());
     let mut rows_set: Vec<usize> =
         (0..p.div_ceil(blocking.rbp)).map(|tj| (p - tj * blocking.rbp).min(blocking.rbp)).collect();
@@ -93,155 +170,90 @@ pub fn kernel_shape_variants(
     for &rows in &rows_set {
         for &cols in &cols_set {
             for &init in inits {
-                out.push(KernelShape {
-                    rbp: rows,
-                    rbq: cols,
-                    r: shape.r,
-                    s: shape.s,
-                    stride: shape.stride,
-                    cb_inner: blocking.cb_inner,
-                    in_row_stride: in_row,
-                    in_cb_stride: in_cb,
-                    out_row_stride: out_geom.row_stride,
-                    out_col_stride: out_geom.col_stride,
-                    init_zero: init,
-                    prefetch,
-                });
+                out.push(req.kernel_shape(&out_geom, rows, cols, init));
             }
         }
     }
     out
 }
 
-/// A fully planned forward (or dual-backward) convolution.
-pub struct FwdPlan {
-    shape: ConvShape,
-    blocking: Blocking,
-    kernels: Vec<FwdKernel>,
+/// A fully planned streamed convolution of kernel flavour `F`: the
+/// kernel variants and per-thread streams one dryrun recorded. The
+/// forward pass, the backward duality and the int16 path are all
+/// instances of this one type.
+pub struct StreamPlan<F: Flavor<Shape = KernelShape>> {
+    /// The request as planned (`blocking` chain-clamped).
+    req: PlanRequest,
+    kernels: Vec<Kernel<F>>,
     streams: Vec<Stream>,
     out_geom: OutGeom,
-    fused: FusedOp,
-    nthreads: usize,
-    /// Minimum physical input padding the plan's offsets assume.
-    in_pad: usize,
-    /// Physical padding of the output tensor `run` writes (0 unless the
-    /// plan was built through [`FwdPlan::with_pads`]).
-    out_pad: usize,
 }
 
-impl FwdPlan {
+/// The f32 forward (or dual-backward) plan.
+pub type FwdPlan = StreamPlan<F32Fwd>;
+
+impl<F: Flavor<Shape = KernelShape>> StreamPlan<F> {
     /// Dryrun: build kernels and per-thread streams.
-    pub fn new(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        fused: FusedOp,
-        out_geom: Option<OutGeom>,
-    ) -> Self {
-        Self::with_input_pad(
-            shape, blocking, nthreads, backend, prefetch, fused, out_geom, shape.pad,
-        )
-    }
+    pub fn new(req: &PlanRequest) -> Self {
+        let mut req = *req;
+        let shape = req.shape;
+        if F::BOUNDED_CHAIN && req.blocking.cb_inner > req.chain_limit {
+            // the overflow guard: bound the in-register reduction
+            // length, keeping it a divisor of Cb so cb_steps stays
+            // integral
+            assert!(req.chain_limit >= 1, "chain limit must be at least one channel block");
+            let mut ci = req.chain_limit;
+            while !shape.cb().is_multiple_of(ci) {
+                ci -= 1;
+            }
+            req.blocking.cb_inner = ci;
+        }
+        let out_geom = req.out_geom.unwrap_or_else(|| OutGeom::padded(&shape, req.out_pad));
+        assert!(shape.cb().is_multiple_of(req.blocking.cb_inner), "cb_inner must divide Cb");
 
-    /// Dryrun against an input tensor carrying `input_pad ≥ shape.pad`
-    /// physical padding (graph executors share activation buffers
-    /// across consumers with different padding needs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_input_pad(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        fused: FusedOp,
-        out_geom: Option<OutGeom>,
-        input_pad: usize,
-    ) -> Self {
-        Self::with_pads(shape, blocking, nthreads, backend, prefetch, fused, out_geom, input_pad, 0)
-    }
-
-    /// Full-control dryrun: physical `input_pad` on the input tensor
-    /// *and* physical `out_pad` on the output tensor (the fused
-    /// inference executor writes folded-BN outputs straight into
-    /// padded consumer blobs). An explicit `out_geom` overrides
-    /// `out_pad` (the backward-duality callers pass their own strided
-    /// geometry and execute through `run_raw`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_pads(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        fused: FusedOp,
-        out_geom: Option<OutGeom>,
-        input_pad: usize,
-        out_pad: usize,
-    ) -> Self {
-        let out_geom = out_geom.unwrap_or_else(|| OutGeom::padded(&shape, out_pad));
-        let cb_steps = shape.cb() / blocking.cb_inner;
-        assert_eq!(cb_steps * blocking.cb_inner, shape.cb(), "cb_inner must divide Cb");
-
-        // input geometry (physically padded blocked activations)
-        let in_row = (shape.w + 2 * input_pad) * VLEN;
-        let in_cb = (shape.h + 2 * input_pad) * in_row;
-
-        let mut kernels: Vec<FwdKernel> = Vec::new();
+        let mut kernels: Vec<Kernel<F>> = Vec::new();
         let mut variant: HashMap<(usize, usize, bool), u8> = HashMap::new();
         let mut variant_for = |rows: usize, cols: usize, init: bool| -> u8 {
             *variant.entry((rows, cols, init)).or_insert_with(|| {
-                let sh = KernelShape {
-                    rbp: rows,
-                    rbq: cols,
-                    r: shape.r,
-                    s: shape.s,
-                    stride: shape.stride,
-                    cb_inner: blocking.cb_inner,
-                    in_row_stride: in_row,
-                    in_cb_stride: in_cb,
-                    out_row_stride: out_geom.row_stride,
-                    out_col_stride: out_geom.col_stride,
-                    init_zero: init,
-                    prefetch,
-                };
-                kernels.push(FwdKernel::cached(sh, backend));
+                let sh = req.kernel_shape(&out_geom, rows, cols, init);
+                kernels.push(Kernel::cached(sh, req.backend));
                 u8::try_from(kernels.len() - 1).expect("too many kernel variants")
             })
         };
-
-        let streams = dryrun_streams(
-            &shape,
-            &blocking,
-            nthreads,
-            &out_geom,
-            fused,
-            input_pad,
-            &mut variant_for,
-        );
-
-        Self {
-            shape,
-            blocking,
-            kernels,
-            streams,
-            out_geom,
-            fused,
-            nthreads,
-            in_pad: input_pad,
-            out_pad,
-        }
+        let streams = dryrun_streams(&req, &out_geom, &mut variant_for);
+        Self { req, kernels, streams, out_geom }
     }
 
     /// The convolution shape this plan executes.
     pub fn shape(&self) -> &ConvShape {
-        &self.shape
+        &self.req.shape
     }
 
-    /// The blocking decision in effect.
+    /// The blocking decision in effect (chain-clamped for int16) — the
+    /// legality invariants of the planner hold for every flavour, and
+    /// are property-tested.
     pub fn blocking(&self) -> &Blocking {
-        &self.blocking
+        &self.req.blocking
+    }
+
+    /// The fused op (`FusedOp::None` for raw plans).
+    pub fn fused(&self) -> FusedOp {
+        self.req.fused
+    }
+
+    /// Physical input padding the plan's offsets assume.
+    pub fn input_pad(&self) -> usize {
+        self.req.input_pad
+    }
+
+    /// Physical padding `run` expects on the output tensor.
+    pub fn out_pad(&self) -> usize {
+        self.req.out_pad
+    }
+
+    /// Output geometry the plan writes through.
+    pub fn out_geom(&self) -> &OutGeom {
+        &self.out_geom
     }
 
     /// Kernel variants generated by the dryrun (Section II-H's
@@ -255,12 +267,84 @@ impl FwdPlan {
         self.kernels.first().map(|k| k.backend_name()).unwrap_or("none")
     }
 
+    /// The recorded per-thread streams.
+    pub fn streams(&self) -> &[Stream] {
+        &self.streams
+    }
+
     /// Total stream metadata bytes across threads.
     pub fn stream_bytes(&self) -> usize {
         self.streams.iter().map(|s| s.metadata_bytes()).sum()
     }
 
-    /// Execute into a dense blocked output tensor.
+    /// Validate the input-side tensors of a typed `run` (logical dims
+    /// and physical padding of the activations, dims of the filter).
+    pub(crate) fn check_inputs(
+        &self,
+        pool: &ThreadPool,
+        input: (usize, usize, usize, usize, usize),
+        filter: (usize, usize, usize, usize),
+    ) {
+        let sh = &self.req.shape;
+        assert_eq!(pool.nthreads(), self.req.threads, "plan was dryrun for a different team size");
+        assert_eq!(input, (sh.n, sh.c, sh.h, sh.w, self.req.input_pad), "input tensor mismatch");
+        assert_eq!(filter, (sh.k, sh.c, sh.r, sh.s), "filter tensor mismatch");
+    }
+
+    /// Validate the f32 output tensor and the APPLY operands of a
+    /// fused run.
+    pub(crate) fn check_fused_output(&self, output: &BlockedActs, ctx: &FuseCtx<'_>) {
+        let (sh, fused, out_pad) = (&self.req.shape, self.req.fused, self.req.out_pad);
+        assert_eq!(
+            (output.n, output.c, output.h, output.w, output.pad),
+            (sh.n, sh.k, sh.p(), sh.q(), out_pad),
+            "output tensor mismatch"
+        );
+        if fused.needs_bias() {
+            // the apply reads whole VLEN blocks, so the bias must cover
+            // the padded channel count, not just the logical k
+            assert!(
+                ctx.bias.is_some_and(|b| b.len() >= sh.k.next_multiple_of(VLEN)),
+                "bias missing or shorter than the padded channel count"
+            );
+        }
+        if fused.needs_eltwise() {
+            let e = ctx.eltwise.expect("eltwise tensor missing");
+            assert_eq!(
+                (e.n, e.cb, e.h, e.w, e.pad),
+                (output.n, output.cb, output.h, output.w, out_pad),
+                "eltwise tensor mismatch"
+            );
+        }
+    }
+
+    /// Replay every thread's stream on `pool`; `apply` is the fused
+    /// operator run on each finished tile.
+    ///
+    /// # Safety
+    /// The pointers must describe tensors with exactly the geometry the
+    /// plan was dryrun for; output tiles are disjoint per thread.
+    #[inline]
+    pub(crate) unsafe fn replay_all(
+        &self,
+        pool: &ThreadPool,
+        input: *const F::In,
+        weights: *const F::In,
+        output: *mut F::Acc,
+        apply: impl Fn(&ApplyRec) + Sync,
+    ) {
+        let (inp, wt, out) = (SendPtr::new(input), SendPtr::new(weights), SendPtr(output));
+        pool.run(|pctx| {
+            // SAFETY: per this function's contract.
+            unsafe {
+                self.streams[pctx.tid].replay(&self.kernels, inp.get(), wt.get(), out.get(), &apply)
+            };
+        });
+    }
+}
+
+impl FwdPlan {
+    /// Execute into a blocked output tensor.
     pub fn run(
         &self,
         pool: &ThreadPool,
@@ -269,39 +353,12 @@ impl FwdPlan {
         output: &mut BlockedActs,
         ctx: &FuseCtx<'_>,
     ) {
-        assert_eq!(pool.nthreads(), self.nthreads, "plan was dryrun for a different team size");
-        assert_eq!(
-            (input.n, input.c, input.h, input.w),
-            (self.shape.n, self.shape.c, self.shape.h, self.shape.w),
-            "input tensor mismatch"
-        );
-        assert_eq!(input.pad, self.in_pad, "plan offsets assume exactly this padding");
-        assert_eq!(
+        self.check_inputs(
+            pool,
+            (input.n, input.c, input.h, input.w, input.pad),
             (weights.k, weights.c, weights.r, weights.s),
-            (self.shape.k, self.shape.c, self.shape.r, self.shape.s),
-            "filter tensor mismatch"
         );
-        assert_eq!(
-            (output.n, output.c, output.h, output.w, output.pad),
-            (self.shape.n, self.shape.k, self.shape.p(), self.shape.q(), self.out_pad),
-            "output tensor mismatch"
-        );
-        if self.fused.needs_bias() {
-            // the apply reads whole VLEN blocks, so the bias must cover
-            // the padded channel count, not just the logical k
-            assert!(
-                ctx.bias.is_some_and(|b| b.len() >= self.shape.k.next_multiple_of(VLEN)),
-                "bias missing or shorter than the padded channel count"
-            );
-        }
-        if self.fused.needs_eltwise() {
-            let e = ctx.eltwise.expect("eltwise tensor missing");
-            assert_eq!(
-                (e.n, e.cb, e.h, e.w, e.pad),
-                (output.n, output.cb, output.h, output.w, self.out_pad),
-                "eltwise tensor mismatch"
-            );
-        }
+        self.check_fused_output(output, ctx);
         // SAFETY: geometry validated above; threads write disjoint tiles.
         unsafe { self.run_raw(pool, input.as_ptr(), weights.as_ptr(), output.as_mut_ptr(), ctx) }
     }
@@ -320,44 +377,25 @@ impl FwdPlan {
         output: *mut f32,
         ctx: &FuseCtx<'_>,
     ) {
-        let streams = &self.streams;
-        let kernels = &self.kernels;
-        let fused = self.fused;
-        let inp = SendConstPtr(input);
-        let wt = SendConstPtr(weights);
-        let out = SendMutPtr(output);
-        pool.run(move |pctx| {
-            let s = &streams[pctx.tid];
-            // SAFETY: per run_raw's contract.
-            unsafe { s.replay(kernels, fused, inp.get(), wt.get(), out.get(), ctx) };
+        let (fused, out) = (self.req.fused, SendPtr(output));
+        self.replay_all(pool, input, weights, output, |rec| {
+            // SAFETY: the record addresses a tile of `output` this
+            // thread just finished reducing.
+            unsafe { apply_tile(fused, rec, out.get(), ctx) }
         });
-    }
-
-    /// Output geometry the plan writes through.
-    pub fn out_geom(&self) -> &OutGeom {
-        &self.out_geom
-    }
-
-    /// Physical padding `run` expects on the output tensor.
-    pub fn out_pad(&self) -> usize {
-        self.out_pad
     }
 }
 
 /// The dryrun proper (Section II-H): walk Algorithm 4's loop nest for
 /// every thread, record offsets and variants instead of calling
-/// kernels. Shared between the f32 and the int16 plans — both use the
-/// same element offsets because the blocked layouts are parallel.
-pub(crate) fn dryrun_streams(
-    shape: &ConvShape,
-    blocking: &Blocking,
-    nthreads: usize,
+/// kernels. Flavour-independent — f32 and int16 use the same element
+/// offsets because the blocked layouts are parallel.
+fn dryrun_streams(
+    req: &PlanRequest,
     out_geom: &OutGeom,
-    fused: FusedOp,
-    input_pad: usize,
     variant_for: &mut dyn FnMut(usize, usize, bool) -> u8,
 ) -> Vec<Stream> {
-    assert!(input_pad >= shape.pad, "input tensor padding below the conv's pad");
+    let PlanRequest { shape, blocking, input_pad, threads: nthreads, fused, .. } = *req;
     let (p, q) = (shape.p(), shape.q());
     let (tp, tq) = blocking.tiles(p, q);
     let cb_steps = shape.cb() / blocking.cb_inner;
@@ -410,43 +448,20 @@ pub(crate) fn dryrun_streams(
     streams
 }
 
-/// Shareable raw-pointer wrappers. Accessed through methods so that
-/// RFC-2229 precise capture moves the whole (Sync) wrapper into the
-/// region closure instead of the bare pointer field.
-#[derive(Clone, Copy)]
-pub(crate) struct SendConstPtr(pub(crate) *const f32);
-unsafe impl Send for SendConstPtr {}
-unsafe impl Sync for SendConstPtr {}
-impl SendConstPtr {
-    #[inline]
-    pub(crate) fn get(&self) -> *const f32 {
-        self.0
-    }
-}
-
-#[derive(Clone, Copy)]
-pub(crate) struct SendMutPtr(pub(crate) *mut f32);
-unsafe impl Send for SendMutPtr {}
-unsafe impl Sync for SendMutPtr {}
-impl SendMutPtr {
-    #[inline]
-    pub(crate) fn get(&self) -> *mut f32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blocking;
     use crate::fuse::apply_unfused;
+    use crate::layer::LayerOptions;
     use crate::reference::conv_fwd_ref;
     use tensor::{Kcrs, Nchw, Norms};
 
     fn run_case(shape: ConvShape, fused: FusedOp, backend: Backend, threads: usize) {
         let pool = ThreadPool::new(threads);
         let b = blocking::choose(&shape);
-        let plan = FwdPlan::new(shape, b, threads, backend, true, fused, None);
+        let opts = LayerOptions::new(threads).with_backend(backend).with_fuse(fused);
+        let plan = FwdPlan::new(&PlanRequest::new(shape, b, &opts));
 
         let x = Nchw::random(shape.n, shape.c, shape.h, shape.w, 1);
         let w = Kcrs::random(shape.k, shape.c, shape.r, shape.s, 2);
@@ -521,7 +536,8 @@ mod tests {
         let shape = ConvShape::new(1, 32, 16, 10, 10, 3, 3, 1, 1);
         let b = Blocking { rbp: 2, rbq: 7, cb_inner: 1, upd_bp: 4, upd_bq: 10 };
         let pool = ThreadPool::new(3);
-        let plan = FwdPlan::new(shape, b, 3, Backend::Auto, false, FusedOp::None, None);
+        let opts = LayerOptions::new(3).with_prefetch(false);
+        let plan = FwdPlan::new(&PlanRequest::new(shape, b, &opts));
         // (main, remainder) × (first-cb init, accumulate) = 4 variants
         assert_eq!(plan.kernel_variants(), 4, "main + remainder variants expected");
         let x = Nchw::random(1, 32, 10, 10, 5);
@@ -553,22 +569,17 @@ mod tests {
         let bias: Vec<f32> = (0..32).map(|i| 0.02 * i as f32 - 0.3).collect();
         let residual = BlockedActs::random(2, 32, 8, 8, 2, 33);
 
-        let dense = FwdPlan::new(shape, b, threads, Backend::Auto, true, FusedOp::None, None);
+        let opts = LayerOptions::new(threads);
+        let dense = FwdPlan::new(&PlanRequest::new(shape, b, &opts));
         let mut y_dense = BlockedActs::zeros(2, 32, 8, 8, 0);
         dense.run(&pool, &xb, &wb, &mut y_dense, &FuseCtx::default());
 
         for fused in [FusedOp::None, FusedOp::BiasEltwiseRelu] {
-            let padded = FwdPlan::with_pads(
+            let padded = FwdPlan::new(&PlanRequest::new(
                 shape,
                 b,
-                threads,
-                Backend::Auto,
-                true,
-                fused,
-                None,
-                shape.pad,
-                2,
-            );
+                &opts.clone().with_fuse(fused).with_out_pad(2),
+            ));
             assert_eq!(padded.out_pad(), 2);
             let mut y_pad = BlockedActs::zeros(2, 32, 8, 8, 2);
             let ctx = FuseCtx {
@@ -613,7 +624,8 @@ mod tests {
         for threads in [1usize, 2, 5, 8] {
             let pool = ThreadPool::new(threads);
             let b = blocking::choose(&shape);
-            let plan = FwdPlan::new(shape, b, threads, Backend::Auto, false, FusedOp::None, None);
+            let opts = LayerOptions::new(threads).with_prefetch(false);
+            let plan = FwdPlan::new(&PlanRequest::new(shape, b, &opts));
             let mut yb = BlockedActs::zeros(3, 32, 8, 8, 0);
             plan.run(&pool, &xb, &wb, &mut yb, &FuseCtx::default());
             outs.push(yb.as_slice().to_vec());
@@ -627,7 +639,8 @@ mod tests {
     fn stream_metadata_is_compact() {
         let shape = ConvShape::new(4, 64, 64, 28, 28, 3, 3, 1, 1);
         let b = blocking::choose(&shape);
-        let plan = FwdPlan::new(shape, b, 8, Backend::Intrinsics, true, FusedOp::Relu, None);
+        let opts = LayerOptions::new(8).with_backend(Backend::Intrinsics).with_fuse(FusedOp::Relu);
+        let plan = FwdPlan::new(&PlanRequest::new(shape, b, &opts));
         // 4·4·(28/rbp·28/28)·Cb convs; metadata ≈ 13B per conv
         let convs: usize = (0..8).map(|_| 0).len(); // silence clippy
         let _ = convs;

@@ -10,8 +10,8 @@ use crate::backend::Backend;
 use crate::blocking::Blocking;
 use crate::bwd::{BwdKind, BwdPlan};
 use crate::fuse::{FuseCtx, FusedOp};
-use crate::fwd::FwdPlan;
-use crate::quant::{QuantFwdPlan, QuantOptions, DEFAULT_CHAIN_LIMIT};
+use crate::fwd::{FwdPlan, PlanRequest};
+use crate::quant::{QuantFwdPlan, DEFAULT_CHAIN_LIMIT};
 use crate::tune::{self, TuneLevel, TuneOutcome, TuneStore};
 use crate::upd::UpdPlan;
 use machine::MachineModel;
@@ -224,9 +224,10 @@ impl LayerOptions {
 
 /// A fully planned convolution layer (fwd + bwd + upd).
 pub struct ConvLayer {
-    shape: ConvShape,
+    /// The one request all four plans were built from (resolved
+    /// shape, blocking and paddings).
+    req: PlanRequest,
     opts: LayerOptions,
-    blocking: Blocking,
     tune_outcome: TuneOutcome,
     fwd: FwdPlan,
     bwd: BwdPlan,
@@ -239,68 +240,36 @@ impl ConvLayer {
     /// `opts.tune`), kernel generation, dryrun.
     pub fn new(shape: ConvShape, opts: LayerOptions) -> Self {
         let outcome = tune::resolve(&shape, &opts);
-        let b = outcome.blocking;
-        let input_pad = opts.input_pad.unwrap_or(shape.pad);
-        let fwd = FwdPlan::with_pads(
-            shape,
-            b,
-            opts.threads,
-            opts.backend,
-            opts.prefetch,
-            opts.fuse,
-            None,
-            input_pad,
-            opts.out_pad,
-        );
-        let bwd =
-            BwdPlan::with_input_pad(shape, opts.threads, opts.backend, opts.prefetch, input_pad);
-        let dout_pad = opts.dout_pad.unwrap_or_else(|| bwd.dout_pad());
-        let upd = UpdPlan::with_input_pad(
-            shape,
-            b,
-            opts.threads,
-            opts.backend,
-            opts.prefetch,
-            &opts.machine,
-            dout_pad,
-            input_pad,
-        );
+        let req = PlanRequest::new(shape, outcome.blocking, &opts);
+        let fwd = FwdPlan::new(&req);
+        let bwd = BwdPlan::new(&req);
+        let upd = UpdPlan::new(&req, &opts.machine);
         let quant = (opts.precision == Precision::Int8).then(|| {
             // the requantizing APPLY must visit every output tile, so a
             // fusion-free layer still records applies: Bias with an
             // all-zero vector degenerates to the pure requant.
-            let qfuse = match opts.fuse {
+            let fused = match opts.fuse {
                 FusedOp::None => FusedOp::Bias,
                 f => f,
             };
-            QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(opts.threads)
-                    .with_backend(opts.backend)
-                    .with_prefetch(opts.prefetch)
-                    .with_chain_limit(opts.chain_limit)
-                    .with_blocking(b)
-                    .with_input_pad(input_pad)
-                    .with_fuse(qfuse)
-                    .with_out_pad(opts.out_pad),
-            )
+            QuantFwdPlan::new(&PlanRequest { fused, ..req })
         });
-        Self { shape, opts, blocking: b, tune_outcome: outcome, fwd, bwd, upd, quant }
+        Self { req, opts, tune_outcome: outcome, fwd, bwd, upd, quant }
     }
 
     /// Physical padding the plans expect on the input tensor.
     pub fn input_pad(&self) -> usize {
-        self.opts.input_pad.unwrap_or(self.shape.pad)
+        self.req.input_pad
     }
 
     /// The layer's shape.
     pub fn shape(&self) -> &ConvShape {
-        &self.shape
+        &self.req.shape
     }
 
     /// The blocking in effect.
     pub fn blocking(&self) -> &Blocking {
-        &self.blocking
+        &self.req.blocking
     }
 
     /// How the blocking was chosen (level, predicted/measured GFLOPS,
@@ -327,21 +296,27 @@ impl ConvLayer {
     /// Physical padding expected on gradient-output tensors (the
     /// duality-optimal value unless overridden in the options).
     pub fn dout_pad(&self) -> usize {
-        self.opts.dout_pad.unwrap_or_else(|| self.bwd.dout_pad())
+        self.req.dout_pad
     }
 
     /// Allocate a correctly-padded input tensor.
     pub fn new_input(&self) -> BlockedActs {
-        BlockedActs::zeros(self.shape.n, self.shape.c, self.shape.h, self.shape.w, self.input_pad())
+        BlockedActs::zeros(
+            self.req.shape.n,
+            self.req.shape.c,
+            self.req.shape.h,
+            self.req.shape.w,
+            self.input_pad(),
+        )
     }
 
     /// Allocate an output tensor (with the configured output padding).
     pub fn new_output(&self) -> BlockedActs {
         BlockedActs::zeros(
-            self.shape.n,
-            self.shape.k,
-            self.shape.p(),
-            self.shape.q(),
+            self.req.shape.n,
+            self.req.shape.k,
+            self.req.shape.p(),
+            self.req.shape.q(),
             self.opts.out_pad,
         )
     }
@@ -349,17 +324,17 @@ impl ConvLayer {
     /// Allocate a gradient-output tensor with the duality padding.
     pub fn new_dout(&self) -> BlockedActs {
         BlockedActs::zeros(
-            self.shape.n,
-            self.shape.k,
-            self.shape.p(),
-            self.shape.q(),
+            self.req.shape.n,
+            self.req.shape.k,
+            self.req.shape.p(),
+            self.req.shape.q(),
             self.dout_pad(),
         )
     }
 
     /// Allocate a filter tensor.
     pub fn new_filter(&self) -> BlockedFilter {
-        BlockedFilter::zeros(self.shape.k, self.shape.c, self.shape.r, self.shape.s)
+        BlockedFilter::zeros(self.req.shape.k, self.req.shape.c, self.req.shape.r, self.req.shape.s)
     }
 
     /// The quantized forward plan (layers built at `Precision::Int8`).

@@ -42,7 +42,8 @@ pub use backend::{
 pub use blocking::Blocking;
 pub use cache::{CombinedCacheStats, FusedOpCacheStats, PlanCache, PlanCacheStats};
 pub use fuse::FusedOp;
+pub use fwd::PlanRequest;
 pub use layer::{ConvLayer, LayerOptions, Precision};
-pub use quant::{QuantBwdPlan, QuantFwdPlan, QuantOptions, QuantUpdPlan, DEFAULT_CHAIN_LIMIT};
+pub use quant::{QuantBwdPlan, QuantFwdPlan, QuantUpdPlan, DEFAULT_CHAIN_LIMIT};
 pub use tensor::ConvShape;
 pub use tune::{TuneLevel, TuneOutcome, TuneStore};

@@ -1,229 +1,43 @@
 //! Reduced-precision int16 engine (Section II-K).
 //!
-//! Mirrors the f32 engines with the datatype changes of the paper's
-//! quantized path:
+//! The int16 instantiation of the streamed engine, with the datatype
+//! changes of the paper's quantized path:
 //!
-//! * **forward** — the shared dryrun records the identical offset
-//!   streams (the int16 layouts are element-parallel to the f32 ones);
-//!   kernels are `vpdpwssd`-based; the accumulation chain inside one
+//! * **forward** — [`QuantFwdPlan`] is [`StreamPlan`] over the
+//!   [`I16Fwd`] kernel flavour: the one dryrun records the identical
+//!   offset streams (the int16 layouts are element-parallel to the f32
+//!   ones); kernels are `vpdpwssd`-based; the accumulation chain inside one
 //!   kernel invocation is bounded by `chain_limit` channel blocks (the
 //!   paper's overflow guard: *"we have to restrict the length of the
 //!   FMA accumulation chain"*), which costs extra int32 output traffic
 //!   — one of the three reasons int16 stays below 2×;
-//! * **backward** — duality exactly as in f32: transposed/flipped
-//!   weights re-quantized into the VNNI layout, dO (padded) as input;
+//! * **backward** — the f32 duality request (`bwd::dual_request`) on the
+//!   int16 flavour: transposed/flipped weights re-quantized into the
+//!   VNNI layout, dO (padded) as input;
 //! * **update** — the 4VNNIW-style pixel-pair reduction: dO rows are
 //!   transposed into pair-interleaved `[q/2][k][2]` panels and input
 //!   rows into channel-major `[c][q]` rows (the paper's *"memory bound
 //!   operation \[that\] further degrades the performance"*), then a
 //!   16-accumulator `vpdpwssd` kernel sweeps pixel pairs.
 
-use crate::backend::{Backend, QuantKernel};
-use crate::blocking::{self, Blocking};
-use crate::fuse::{FuseCtx, FusedOp};
-use crate::fwd::{dryrun_streams, OutGeom, SendMutPtr};
-use crate::streams::Stream;
-use microkernel::KernelShape;
+use crate::backend::I16Fwd;
+use crate::bwd::dual_request;
+use crate::fuse::{apply_tile_requant, ApplyRec, FuseCtx, FusedOp};
+use crate::fwd::{PlanRequest, StreamPlan};
+use crate::streams::SendPtr;
 use parallel::{split_even, ThreadPool};
-use std::collections::HashMap;
 use tensor::vnni::BlockedI32;
 use tensor::{BlockedActs, BlockedFilter, ConvShape, VnniActs, VnniFilter, VLEN};
 
 /// Default accumulation-chain bound in channel blocks (64 channels).
 pub const DEFAULT_CHAIN_LIMIT: usize = 4;
 
-/// Configuration of a quantized plan — the int16 counterpart of
-/// [`crate::LayerOptions`], replacing the former positional
-/// `bool`/`usize` argument list. Every field participates in the
-/// plan-cache key (via `LayerOptions`), so chain-length or padding
-/// variants of the same shape never collide.
-#[derive(Clone, Debug)]
-pub struct QuantOptions {
-    /// Thread-team size the plan is dryrun for.
-    pub threads: usize,
-    /// Kernel backend.
-    pub backend: Backend,
-    /// Emit software prefetches.
-    pub prefetch: bool,
-    /// Accumulation-chain bound in channel blocks (the paper's int16
-    /// overflow guard); clamped to a divisor of the shape's `Cb`.
-    pub chain_limit: usize,
-    /// Blocking override (e.g. the autotuner's winner for the f32 plan
-    /// of the same shape); `None` chooses the Section II-B heuristic.
-    /// `cb_inner` is clamped to `chain_limit` either way.
-    pub blocking: Option<Blocking>,
-    /// Physical padding of the input tensor (defaults to the conv's
-    /// own pad).
-    pub input_pad: Option<usize>,
-    /// Fused requantizing APPLY. `FusedOp::None` builds a *raw* plan
-    /// that leaves int32 accumulators (kernel tests, duality); any
-    /// other op builds a fused plan executed through
-    /// [`QuantFwdPlan::run_fused`], which dequantizes in the APPLY.
-    pub fuse: FusedOp,
-    /// Physical padding of the output tensor (fused plans only).
-    pub out_pad: usize,
-    /// Explicit output geometry (duality callers); overrides `out_pad`.
-    pub out_geom: Option<OutGeom>,
-}
-
-impl QuantOptions {
-    /// Defaults for a given team size.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            backend: Backend::Auto,
-            prefetch: true,
-            chain_limit: DEFAULT_CHAIN_LIMIT,
-            blocking: None,
-            input_pad: None,
-            fuse: FusedOp::None,
-            out_pad: 0,
-            out_geom: None,
-        }
-    }
-
-    /// Set the kernel backend.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Enable/disable prefetching.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Set the accumulation-chain bound.
-    pub fn with_chain_limit(mut self, chain_limit: usize) -> Self {
-        assert!(chain_limit >= 1, "chain limit must be at least one channel block");
-        self.chain_limit = chain_limit;
-        self
-    }
-
-    /// Reuse a blocking decision (typically the f32 plan's).
-    pub fn with_blocking(mut self, blocking: Blocking) -> Self {
-        self.blocking = Some(blocking);
-        self
-    }
-
-    /// Set the physical input padding (shared activation buffers).
-    pub fn with_input_pad(mut self, pad: usize) -> Self {
-        self.input_pad = Some(pad);
-        self
-    }
-
-    /// Set the fused requantizing APPLY op.
-    pub fn with_fuse(mut self, fuse: FusedOp) -> Self {
-        self.fuse = fuse;
-        self
-    }
-
-    /// Set the physical output padding.
-    pub fn with_out_pad(mut self, pad: usize) -> Self {
-        self.out_pad = pad;
-        self
-    }
-
-    /// Set an explicit output geometry (backward-duality wrappers).
-    pub fn with_out_geom(mut self, geom: OutGeom) -> Self {
-        self.out_geom = Some(geom);
-        self
-    }
-}
-
-/// Planned int16 forward pass.
-pub struct QuantFwdPlan {
-    shape: ConvShape,
-    blocking: Blocking,
-    kernels: Vec<QuantKernel>,
-    streams: Vec<Stream>,
-    nthreads: usize,
-    out_geom: OutGeom,
-    fused: FusedOp,
-    input_pad: usize,
-    out_pad: usize,
-}
+/// Planned int16 forward pass: the int16 instantiation of the streamed
+/// engine. The shared dryrun bounds the in-kernel accumulation chain by
+/// the request's `chain_limit` (clamped to a divisor of `Cb`).
+pub type QuantFwdPlan = StreamPlan<I16Fwd>;
 
 impl QuantFwdPlan {
-    /// Dryrun with a bounded accumulation chain.
-    pub fn new(shape: ConvShape, opts: &QuantOptions) -> Self {
-        let input_pad = opts.input_pad.unwrap_or(shape.pad);
-        assert!(input_pad >= shape.pad, "input padding below the conv's pad");
-        let out_geom = opts.out_geom.unwrap_or_else(|| OutGeom::padded(&shape, opts.out_pad));
-        let mut b = opts.blocking.unwrap_or_else(|| blocking::choose(&shape));
-        // the overflow guard: bound the in-register reduction length
-        if b.cb_inner > opts.chain_limit {
-            // keep it a divisor of Cb so cb_steps stays integral
-            let mut ci = opts.chain_limit;
-            while !shape.cb().is_multiple_of(ci) {
-                ci -= 1;
-            }
-            b.cb_inner = ci;
-        }
-        let blocking = b;
-        let in_row = (shape.w + 2 * input_pad) * VLEN;
-        let in_cb = (shape.h + 2 * input_pad) * in_row;
-        let mut kernels: Vec<QuantKernel> = Vec::new();
-        let mut variant: HashMap<(usize, usize, bool), u8> = HashMap::new();
-        let mut variant_for = |rows: usize, cols: usize, init: bool| -> u8 {
-            *variant.entry((rows, cols, init)).or_insert_with(|| {
-                let sh = KernelShape {
-                    rbp: rows,
-                    rbq: cols,
-                    r: shape.r,
-                    s: shape.s,
-                    stride: shape.stride,
-                    cb_inner: blocking.cb_inner,
-                    in_row_stride: in_row,
-                    in_cb_stride: in_cb,
-                    out_row_stride: out_geom.row_stride,
-                    out_col_stride: out_geom.col_stride,
-                    init_zero: init,
-                    prefetch: opts.prefetch,
-                };
-                kernels.push(QuantKernel::cached(sh, opts.backend));
-                u8::try_from(kernels.len() - 1).expect("too many kernel variants")
-            })
-        };
-        let streams = dryrun_streams(
-            &shape,
-            &blocking,
-            opts.threads,
-            &out_geom,
-            opts.fuse,
-            input_pad,
-            &mut variant_for,
-        );
-        Self {
-            shape,
-            blocking,
-            kernels,
-            streams,
-            nthreads: opts.threads,
-            out_geom,
-            fused: opts.fuse,
-            input_pad,
-            out_pad: opts.out_pad,
-        }
-    }
-
-    /// The blocking in effect (chain-clamped) — the legality invariants
-    /// of the f32 planner hold here too, and are property-tested.
-    pub fn blocking(&self) -> &Blocking {
-        &self.blocking
-    }
-
-    /// The fused requantizing op (`FusedOp::None` for raw plans).
-    pub fn fused(&self) -> FusedOp {
-        self.fused
-    }
-
-    /// Physical input padding the plan's offsets assume.
-    pub fn input_pad(&self) -> usize {
-        self.input_pad
-    }
-
     /// Execute `out = conv(input, weights)` in int16→int32 (raw plans
     /// only — fused plans requantize through [`QuantFwdPlan::run_fused`]).
     pub fn run(
@@ -233,24 +47,26 @@ impl QuantFwdPlan {
         weights: &VnniFilter,
         out: &mut BlockedI32,
     ) {
-        assert_eq!(pool.nthreads(), self.nthreads);
-        assert_eq!(self.fused, FusedOp::None, "fused plans must run through run_fused");
-        let sh = &self.shape;
-        assert_eq!(
-            (input.n, input.c, input.h, input.w, input.pad),
-            (sh.n, sh.c, sh.h, sh.w, self.input_pad),
-            "input mismatch"
-        );
-        assert_eq!((weights.k, weights.c), (sh.k, sh.c), "filter mismatch");
+        self.check_vnni_inputs(pool, input, weights);
+        let sh = self.shape();
         assert_eq!((out.n, out.k, out.h, out.w), (sh.n, sh.k, sh.p(), sh.q()), "output mismatch");
         // SAFETY: geometry validated; disjoint tiles per thread.
         unsafe { self.run_raw(pool, input.as_ptr(), weights.as_ptr(), out.as_mut_ptr()) }
     }
 
+    fn check_vnni_inputs(&self, pool: &ThreadPool, input: &VnniActs, weights: &VnniFilter) {
+        self.check_inputs(
+            pool,
+            (input.n, input.c, input.h, input.w, input.pad),
+            (weights.k, weights.c, weights.r, weights.s),
+        );
+    }
+
     /// Execute the full quantized chain into an f32 tensor:
     /// int16 conv → int32 accumulators (written bit-wise into the f32
-    /// storage) → per-tile requantize `acc · mult[k]` + fused post-ops
-    /// (folded-BN bias, residual add, ReLU) in the APPLY step.
+    /// storage: same element size, same strides) → per-tile requantize
+    /// `acc · mult[k]` + fused post-ops (folded-BN bias, residual add,
+    /// ReLU) in the APPLY step, while the tile is cache-hot.
     ///
     /// `mult` is the per-output-channel requantization multiplier (the
     /// per-k weight scale with the activation scales folded in, see
@@ -267,53 +83,26 @@ impl QuantFwdPlan {
         mult: &[f32],
         ctx: &FuseCtx<'_>,
     ) {
-        assert_eq!(pool.nthreads(), self.nthreads);
-        assert_ne!(self.fused, FusedOp::None, "raw plans must run through run");
-        let sh = &self.shape;
-        assert_eq!(
-            (input.n, input.c, input.h, input.w, input.pad),
-            (sh.n, sh.c, sh.h, sh.w, self.input_pad),
-            "input mismatch"
-        );
-        assert_eq!((weights.k, weights.c), (sh.k, sh.c), "filter mismatch");
-        assert_eq!(
-            (output.n, output.c, output.h, output.w, output.pad),
-            (sh.n, sh.k, sh.p(), sh.q(), self.out_pad),
-            "output mismatch"
-        );
-        let kpad = sh.k.next_multiple_of(VLEN);
+        let fused = self.fused();
+        // a raw plan records no APPLY, so accumulators would be left
+        // unconverted
+        assert_ne!(fused, FusedOp::None, "raw plans must run through run");
+        self.check_vnni_inputs(pool, input, weights);
+        self.check_fused_output(output, ctx);
+        let kpad = self.shape().k.next_multiple_of(VLEN);
         assert!(mult.len() >= kpad, "mult shorter than the padded channel count");
-        if self.fused.needs_bias() {
-            assert!(
-                ctx.bias.is_some_and(|b| b.len() >= kpad),
-                "bias missing or shorter than the padded channel count"
-            );
-        }
-        if self.fused.needs_eltwise() {
-            let e = ctx.eltwise.expect("eltwise tensor missing");
-            assert_eq!(
-                (e.n, e.cb, e.h, e.w, e.pad),
-                (output.n, output.cb, output.h, output.w, self.out_pad),
-                "eltwise tensor mismatch"
-            );
-        }
-        let streams = &self.streams;
-        let kernels = &self.kernels;
-        let fused = self.fused;
-        let inp = SendPtrI16(input.as_ptr());
-        let wt = SendPtrI16(weights.as_ptr());
-        let out = SendMutPtr(output.as_mut_ptr());
-        pool.run(move |pctx| {
-            let s = &streams[pctx.tid];
-            // SAFETY: geometry validated above; threads own disjoint
-            // tiles, and every tile's APPLY follows its last reduction.
-            unsafe {
-                s.replay_quant_fused(kernels, fused, inp.get(), wt.get(), out.get(), mult, ctx)
-            };
-        });
+        let out = SendPtr(output.as_mut_ptr());
+        let apply = |rec: &ApplyRec| {
+            // SAFETY: the record addresses a tile of `output` this
+            // thread just finished accumulating.
+            unsafe { apply_tile_requant(fused, rec, out.get(), mult, ctx) }
+        };
+        // SAFETY: geometry validated above; threads own disjoint
+        // tiles, and every tile's APPLY follows its last reduction.
+        unsafe { self.replay_all(pool, input.as_ptr(), weights.as_ptr(), out.get().cast(), apply) };
     }
 
-    /// Raw-pointer execution (duality paths).
+    /// Raw-pointer execution of a raw plan (duality paths).
     ///
     /// # Safety
     /// Tensors must match the dryrun geometry exactly.
@@ -324,20 +113,8 @@ impl QuantFwdPlan {
         weights: *const i16,
         out: *mut i32,
     ) {
-        let streams = &self.streams;
-        let kernels = &self.kernels;
-        let inp = SendPtrI16(input);
-        let wt = SendPtrI16(weights);
-        let o = SendPtrI32(out);
-        pool.run(move |ctx| {
-            // SAFETY: per run_raw's contract.
-            unsafe { streams[ctx.tid].replay_quant(kernels, inp.get(), wt.get(), o.get()) };
-        });
-    }
-
-    /// Output geometry (for the duality wrapper).
-    pub fn out_geom(&self) -> &OutGeom {
-        &self.out_geom
+        assert_eq!(self.fused(), FusedOp::None, "fused plans must run through run_fused");
+        self.replay_all(pool, input, weights, out, |_| unreachable!("raw plans record no APPLY"));
     }
 }
 
@@ -346,57 +123,20 @@ impl QuantFwdPlan {
 pub struct QuantBwdPlan {
     shape: ConvShape,
     dual: QuantFwdPlan,
-    dual_pad: usize,
 }
 
 impl QuantBwdPlan {
-    /// Build the dual plan. Panics for strided spatial filters.
-    /// The `fuse`/`out_pad` fields of `opts` are ignored (duality plans
-    /// are raw int32 producers with their own output geometry).
-    pub fn new(shape: ConvShape, opts: &QuantOptions) -> Self {
-        let raw = QuantOptions {
-            fuse: FusedOp::None,
-            out_pad: 0,
-            input_pad: None,
-            blocking: None,
-            ..opts.clone()
-        };
-        if shape.stride == 1 {
-            let dual_pad = shape.r - 1 - shape.pad;
-            let dual = ConvShape::new(
-                shape.n,
-                shape.k,
-                shape.c,
-                shape.p(),
-                shape.q(),
-                shape.r,
-                shape.s,
-                1,
-                dual_pad,
-            );
-            let geom = OutGeom::dense(&dual);
-            let plan = QuantFwdPlan::new(dual, &raw.with_out_geom(geom));
-            Self { shape, dual: plan, dual_pad }
-        } else if shape.r == 1 && shape.s == 1 {
-            let dual = ConvShape::new(shape.n, shape.k, shape.c, shape.p(), shape.q(), 1, 1, 1, 0);
-            let di_row = shape.w * VLEN;
-            let geom = OutGeom {
-                row_stride: shape.stride * di_row,
-                col_stride: shape.stride * VLEN,
-                kb_stride: shape.h * di_row,
-                n_stride: shape.cb() * shape.h * di_row,
-                base: 0,
-            };
-            let plan = QuantFwdPlan::new(dual, &raw.with_out_geom(geom));
-            Self { shape, dual: plan, dual_pad: 0 }
-        } else {
-            panic!("int16 backward supports stride-1 or 1x1 layers (as does the paper)")
-        }
+    /// Build the dual plan. Panics for strided spatial filters. dI is
+    /// an unpadded [`BlockedI32`], whatever the request's `input_pad`.
+    pub fn new(req: &PlanRequest) -> Self {
+        let dual = dual_request(&PlanRequest { input_pad: 0, ..*req })
+            .expect("int16 backward supports stride-1 or 1x1 layers (as does the paper)");
+        Self { shape: req.shape, dual: QuantFwdPlan::new(&dual) }
     }
 
     /// Physical padding required on the int16 dO tensor.
     pub fn dout_pad(&self) -> usize {
-        self.dual_pad
+        self.dual.input_pad()
     }
 
     /// Execute `dinput = conv_bwd(dout, weights)`.
@@ -413,7 +153,7 @@ impl QuantBwdPlan {
     ) {
         let sh = &self.shape;
         assert_eq!((dout.n, dout.c, dout.h, dout.w), (sh.n, sh.k, sh.p(), sh.q()));
-        assert_eq!(dout.pad, self.dual_pad, "dout must carry the dual padding");
+        assert_eq!(dout.pad, self.dout_pad(), "dout must carry the dual padding");
         assert_eq!((dinput.n, dinput.k, dinput.h, dinput.w), (sh.n, sh.c, sh.h, sh.w));
         let wt = VnniFilter::quantize(&weights.transpose_flip(), w_scale);
         if sh.stride > 1 {
@@ -461,7 +201,7 @@ impl QuantUpdPlan {
         let (p_dim, q_dim) = (sh.p(), sh.q());
         let qp = q_dim.div_ceil(2); // pixel pairs per row (odd Q padded)
         let tasks = sh.kb() * sh.cb() * sh.r * sh.s;
-        let dw = SendPtrI32(dweights.as_mut_ptr());
+        let dw = SendPtr(dweights.as_mut_ptr());
         let shv = *sh;
         let in_t = input;
         let do_t = dout;
@@ -567,31 +307,14 @@ unsafe fn quant_upd_rows_vnni(acc: &mut [[i32; VLEN]; VLEN], it: &[i16], dot: &[
     }
 }
 
-#[derive(Clone, Copy)]
-struct SendPtrI16(*const i16);
-unsafe impl Send for SendPtrI16 {}
-unsafe impl Sync for SendPtrI16 {}
-impl SendPtrI16 {
-    #[inline]
-    fn get(&self) -> *const i16 {
-        self.0
-    }
-}
-
-#[derive(Clone, Copy)]
-struct SendPtrI32(*mut i32);
-unsafe impl Send for SendPtrI32 {}
-unsafe impl Sync for SendPtrI32 {}
-impl SendPtrI32 {
-    #[inline]
-    fn get(&self) -> *mut i32 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{blocking, LayerOptions};
+
+    fn request(shape: ConvShape, opts: &LayerOptions) -> PlanRequest {
+        PlanRequest::new(shape, blocking::choose(&shape), opts)
+    }
 
     /// Naive int32 reference conv on the vnni tensors.
     fn fwd_ref(sh: &ConvShape, x: &VnniActs, w: &VnniFilter) -> BlockedI32 {
@@ -633,10 +356,8 @@ mod tests {
             (ConvShape::new(1, 32, 32, 8, 8, 1, 1, 2, 0), 2),
         ] {
             let pool = ThreadPool::new(threads);
-            let plan = QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(threads).with_prefetch(false).with_chain_limit(2),
-            );
+            let opts = LayerOptions::new(threads).with_prefetch(false).with_chain_limit(2);
+            let plan = QuantFwdPlan::new(&request(shape, &opts));
             let x = VnniActs::random(shape.n, shape.c, shape.h, shape.w, shape.pad, 3);
             let w = VnniFilter::random(shape.k, shape.c, shape.r, shape.s, 4);
             let mut out = BlockedI32::zeros(shape.n, shape.k, shape.p(), shape.q());
@@ -657,16 +378,15 @@ mod tests {
         let bias: Vec<f32> = (0..32).map(|k| 0.05 * k as f32 - 0.8).collect();
         let residual = BlockedActs::random(2, 32, 8, 8, 1, 5);
 
-        let raw = QuantFwdPlan::new(shape, &QuantOptions::new(threads).with_prefetch(false));
+        let opts = LayerOptions::new(threads).with_prefetch(false);
+        let raw = QuantFwdPlan::new(&request(shape, &opts));
         let mut acc = BlockedI32::zeros(2, 32, 8, 8);
         raw.run(&pool, &x, &w, &mut acc);
 
         for fuse in [FusedOp::Bias, FusedOp::BiasRelu, FusedOp::BiasEltwiseRelu] {
             // fused plan writes into a pad-1 padded output blob
-            let fused = QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(threads).with_prefetch(false).with_fuse(fuse).with_out_pad(1),
-            );
+            let fused =
+                QuantFwdPlan::new(&request(shape, &opts.clone().with_fuse(fuse).with_out_pad(1)));
             assert_eq!(fused.fused(), fuse);
             let mut out = BlockedActs::zeros(2, 32, 8, 8, 1);
             let ctx =
@@ -708,10 +428,8 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut results = Vec::new();
         for chain in [1usize, 2, 4, 8] {
-            let plan = QuantFwdPlan::new(
-                shape,
-                &QuantOptions::new(2).with_prefetch(false).with_chain_limit(chain),
-            );
+            let opts = LayerOptions::new(2).with_prefetch(false).with_chain_limit(chain);
+            let plan = QuantFwdPlan::new(&request(shape, &opts));
             let mut out = BlockedI32::zeros(1, 16, 6, 6);
             plan.run(&pool, &x, &w, &mut out);
             results.push(out.as_slice().to_vec());
@@ -726,7 +444,8 @@ mod tests {
         let shape = ConvShape::new(1, 32, 32, 6, 6, 3, 3, 1, 1);
         let threads = 3;
         let pool = ThreadPool::new(threads);
-        let plan = QuantBwdPlan::new(shape, &QuantOptions::new(threads).with_prefetch(false));
+        let opts = LayerOptions::new(threads).with_prefetch(false);
+        let plan = QuantBwdPlan::new(&request(shape, &opts));
         // f32 master weights with integer values so quantization at
         // scale 1.0 is exact
         let wq = VnniFilter::random(32, 32, 3, 3, 9);

@@ -14,8 +14,8 @@
 //! arguments of invocation `i` are the compute offsets of invocation
 //! `i + 1`.
 
-use crate::backend::FwdKernel;
-use crate::fuse::{apply_tile, apply_tile_requant, ApplyRec, FuseCtx, FusedOp};
+use crate::backend::{Flavor, Kernel};
+use crate::fuse::ApplyRec;
 
 /// One RLE segment of a thread's execution (Figure 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,19 +77,22 @@ impl Stream {
             + self.applies.len() * std::mem::size_of::<ApplyRec>()
     }
 
-    /// Replay this stream (Algorithm 5).
+    /// Replay this stream (Algorithm 5) with kernels of any flavour;
+    /// `apply` runs the fused operator on each finished output tile
+    /// (the f32 APPLY, the requantizing int16 APPLY, or a panic for
+    /// plans dryrun without fusion, which record no APPLY segment).
     ///
     /// # Safety
     /// The base pointers must describe tensors laid out exactly as the
     /// dryrun assumed (same shapes, same padding).
-    pub unsafe fn replay(
+    #[inline]
+    pub unsafe fn replay<F: Flavor>(
         &self,
-        kernels: &[FwdKernel],
-        fused: FusedOp,
-        inp: *const f32,
-        wt: *const f32,
-        out: *mut f32,
-        ctx: &FuseCtx<'_>,
+        kernels: &[Kernel<F>],
+        inp: *const F::In,
+        wt: *const F::In,
+        out: *mut F::Acc,
+        apply: impl Fn(&ApplyRec),
     ) {
         let mut i = 0usize;
         let last = self.var.len().saturating_sub(1);
@@ -111,100 +114,33 @@ impl Stream {
                         i += 1;
                     }
                 }
-                Segment::Apply(a) => {
-                    apply_tile(fused, &self.applies[a as usize], out, ctx);
-                }
+                Segment::Apply(a) => apply(&self.applies[a as usize]),
             }
         }
         debug_assert_eq!(i, self.var.len(), "segment RLE must cover every call");
     }
 }
 
-impl Stream {
-    /// Replay with int16 kernels (Section II-K). The int16 path does
-    /// not fuse operators, so APPLY segments are rejected.
-    ///
-    /// # Safety
-    /// Same contract as [`Stream::replay`] for the int16/int32 tensors.
-    pub unsafe fn replay_quant(
-        &self,
-        kernels: &[crate::backend::QuantKernel],
-        inp: *const i16,
-        wt: *const i16,
-        out: *mut i32,
-    ) {
-        let mut i = 0usize;
-        let last = self.var.len().saturating_sub(1);
-        for seg in &self.segments {
-            match *seg {
-                Segment::ConvStreak(n) => {
-                    for _ in 0..n {
-                        let j = if i == last { i } else { i + 1 };
-                        let k = &kernels[self.var[i] as usize];
-                        k.call(
-                            inp.add(self.inp[i] as usize),
-                            wt.add(self.wt[i] as usize),
-                            out.add(self.out[i] as usize),
-                            inp.add(self.inp[j] as usize),
-                            wt.add(self.wt[j] as usize),
-                            out.add(self.out[j] as usize),
-                        );
-                        i += 1;
-                    }
-                }
-                Segment::Apply(_) => unreachable!("raw int16 plans are built without fusion"),
-            }
-        }
+/// Shareable raw pointer for pool regions whose threads touch disjoint
+/// parts of one tensor. Accessed through a method so that RFC-2229
+/// precise capture moves the whole (Sync) wrapper into the region
+/// closure instead of the bare pointer field.
+#[derive(Clone, Copy)]
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+// SAFETY: the wrapper only carries the address across threads; every
+// dereference is an `unsafe` block whose comment argues disjointness.
+unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as above.
+unsafe impl<T> Sync for SendPtr<T> {}
+impl<T> SendPtr<T> {
+    /// Wrap a read-only base pointer.
+    pub(crate) fn new(p: *const T) -> Self {
+        Self(p as *mut T)
     }
 
-    /// Replay with int16 kernels *and* a fused requantizing APPLY: the
-    /// kernels write raw int32 accumulators bit-wise into the f32
-    /// output tensor's storage (same element size, same strides), and
-    /// each APPLY converts its freshly finished tile in place with
-    /// [`apply_tile_requant`] — quantized conv, requantization and the
-    /// folded post-ops in one cache-hot pass.
-    ///
-    /// # Safety
-    /// Same contract as [`Stream::replay`]; the stream must have been
-    /// dryrun with a non-`None` fused op so every output tile carries an
-    /// APPLY record (otherwise accumulators would be left unconverted).
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn replay_quant_fused(
-        &self,
-        kernels: &[crate::backend::QuantKernel],
-        fused: FusedOp,
-        inp: *const i16,
-        wt: *const i16,
-        out: *mut f32,
-        mult: &[f32],
-        ctx: &FuseCtx<'_>,
-    ) {
-        let acc = out as *mut i32;
-        let mut i = 0usize;
-        let last = self.var.len().saturating_sub(1);
-        for seg in &self.segments {
-            match *seg {
-                Segment::ConvStreak(n) => {
-                    for _ in 0..n {
-                        let j = if i == last { i } else { i + 1 };
-                        let k = &kernels[self.var[i] as usize];
-                        k.call(
-                            inp.add(self.inp[i] as usize),
-                            wt.add(self.wt[i] as usize),
-                            acc.add(self.out[i] as usize),
-                            inp.add(self.inp[j] as usize),
-                            wt.add(self.wt[j] as usize),
-                            acc.add(self.out[j] as usize),
-                        );
-                        i += 1;
-                    }
-                }
-                Segment::Apply(a) => {
-                    apply_tile_requant(fused, &self.applies[a as usize], out, mult, ctx);
-                }
-            }
-        }
-        debug_assert_eq!(i, self.var.len(), "segment RLE must cover every call");
+    #[inline]
+    pub(crate) fn get(&self) -> *mut T {
+        self.0
     }
 }
 

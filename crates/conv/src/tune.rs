@@ -35,7 +35,7 @@
 
 use crate::blocking::{self, Blocking, MAX_ACC, MIN_CHAINS};
 use crate::fuse::{FuseCtx, FusedOp};
-use crate::fwd::FwdPlan;
+use crate::fwd::{FwdPlan, PlanRequest};
 use crate::layer::LayerOptions;
 use machine::MachineModel;
 use parallel::ThreadPool;
@@ -236,17 +236,8 @@ fn micro_bench(
     let plans: Vec<FwdPlan> = cands
         .iter()
         .map(|&b| {
-            FwdPlan::with_pads(
-                *shape,
-                b,
-                opts.threads,
-                opts.backend,
-                opts.prefetch,
-                FusedOp::None,
-                None,
-                input_pad,
-                0,
-            )
+            let req = PlanRequest::new(*shape, b, opts);
+            FwdPlan::new(&PlanRequest { fused: FusedOp::None, out_pad: 0, ..req })
         })
         .collect();
     // warmup pass: JITs + warms the process-wide kernel cache so the

@@ -19,9 +19,10 @@
 //! `VLEN × VLEN`-panel microkernel of Algorithm 9 with the spatial
 //! `BP × BQ` blocking from [`crate::blocking`].
 
-use crate::backend::{Backend, UpdKernel};
+use crate::backend::UpdKernel;
 use crate::blocking::Blocking;
-use crate::fwd::{SendConstPtr, SendMutPtr};
+use crate::fwd::PlanRequest;
+use crate::streams::SendPtr;
 use machine::MachineModel;
 use microkernel::UpdShape;
 use parallel::{split_even, ThreadPool};
@@ -86,122 +87,69 @@ pub fn choose_copies(shape: &ConvShape, t: usize, _machine: &MachineModel) -> us
     best.1
 }
 
-/// Enumerate every [`UpdShape`] variant an update dryrun for
-/// `(shape, blocking)` can generate (unpadded dO, `shape.pad` physical
-/// input padding): the main `upd_bp`-row tile and the spatial
-/// remainder. Counterpart of [`crate::fwd::kernel_shape_variants`] for
-/// the `verify-kernels` sweep and the verifier property tests.
-pub fn upd_shape_variants(shape: &ConvShape, blocking: &Blocking, prefetch: bool) -> Vec<UpdShape> {
-    let in_row = (shape.w + 2 * shape.pad) * VLEN;
-    let do_row = shape.q() * VLEN;
+/// The [`UpdShape`] variants an update dryrun generates for tensors
+/// carrying `input_pad` / `dout_pad` physical padding: the main
+/// `upd_bp`-row tile and the spatial remainder.
+fn upd_shapes(
+    shape: &ConvShape,
+    blocking: &Blocking,
+    input_pad: usize,
+    dout_pad: usize,
+    prefetch: bool,
+) -> Vec<UpdShape> {
     let p = shape.p();
-    let mut rows_needed = vec![blocking.upd_bp.min(p)];
+    let mut rows = vec![blocking.upd_bp.min(p)];
     if !p.is_multiple_of(blocking.upd_bp) {
-        rows_needed.push(p % blocking.upd_bp);
+        rows.push(p % blocking.upd_bp);
     }
-    rows_needed.sort_unstable();
-    rows_needed.dedup();
-    rows_needed
-        .into_iter()
-        .map(|rows| UpdShape {
-            bp: rows,
+    rows.sort_unstable();
+    rows.dedup();
+    rows.into_iter()
+        .map(|bp| UpdShape {
+            bp,
             bq: shape.q(),
             stride: shape.stride,
-            in_row_stride: in_row,
-            do_row_stride: do_row,
+            in_row_stride: (shape.w + 2 * input_pad) * VLEN,
+            do_row_stride: (shape.q() + 2 * dout_pad) * VLEN,
             prefetch,
         })
         .collect()
 }
 
+/// Enumerate every [`UpdShape`] variant an update dryrun for
+/// `(shape, blocking)` can generate (unpadded dO, `shape.pad` physical
+/// input padding). Counterpart of [`crate::fwd::kernel_shape_variants`]
+/// for the `verify-kernels` sweep and the verifier property tests.
+pub fn upd_shape_variants(shape: &ConvShape, blocking: &Blocking, prefetch: bool) -> Vec<UpdShape> {
+    upd_shapes(shape, blocking, shape.pad, 0, prefetch)
+}
+
 impl UpdPlan {
-    /// Dryrun: choose strategy, generate kernels.
-    pub fn new(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        machine: &MachineModel,
-        dout_pad: usize,
-    ) -> Self {
-        Self::with_input_pad(
-            shape, blocking, nthreads, backend, prefetch, machine, dout_pad, shape.pad,
-        )
-    }
-
-    /// As [`UpdPlan::new`] but with the copy count forced (ablations).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_forced_copies(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        machine: &MachineModel,
-        dout_pad: usize,
-        input_pad: usize,
-        copies: usize,
-    ) -> Self {
-        assert!(copies >= 1 && nthreads.is_multiple_of(copies), "copies must divide the team");
-        let mut plan = Self::with_input_pad(
-            shape, blocking, nthreads, backend, prefetch, machine, dout_pad, input_pad,
-        );
-        plan.copies = copies;
-        plan
-    }
-
-    /// As [`UpdPlan::new`] with an input tensor carrying `input_pad`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_input_pad(
-        shape: ConvShape,
-        blocking: Blocking,
-        nthreads: usize,
-        backend: Backend,
-        prefetch: bool,
-        machine: &MachineModel,
-        dout_pad: usize,
-        input_pad: usize,
-    ) -> Self {
-        assert!(input_pad >= shape.pad);
-        let copies = choose_copies(&shape, nthreads, machine);
-        let in_row = (shape.w + 2 * input_pad) * VLEN;
-        let do_row = (shape.q() + 2 * dout_pad) * VLEN;
+    /// Dryrun: choose strategy, generate kernels. Input and dO carry
+    /// the request's `input_pad` / `dout_pad` physical padding.
+    pub fn new(req: &PlanRequest, machine: &MachineModel) -> Self {
+        let PlanRequest { shape, blocking, input_pad, dout_pad, .. } = *req;
         assert_eq!(blocking.upd_bq, shape.q(), "update kernels sweep full rows");
-        let mut kernels = Vec::new();
-        let mut variant_of_rows = HashMap::new();
-        let p = shape.p();
-        let mut rows_needed = vec![blocking.upd_bp.min(p)];
-        if !p.is_multiple_of(blocking.upd_bp) {
-            rows_needed.push(p % blocking.upd_bp);
-        }
-        for rows in rows_needed {
-            variant_of_rows.entry(rows).or_insert_with(|| {
-                kernels.push(UpdKernel::cached(
-                    UpdShape {
-                        bp: rows,
-                        bq: shape.q(),
-                        stride: shape.stride,
-                        in_row_stride: in_row,
-                        do_row_stride: do_row,
-                        prefetch,
-                    },
-                    backend,
-                ));
-                kernels.len() - 1
-            });
-        }
+        let shapes = upd_shapes(&shape, &blocking, input_pad, dout_pad, req.prefetch);
+        let variant_of_rows = shapes.iter().enumerate().map(|(i, sh)| (sh.bp, i)).collect();
+        let kernels = shapes.into_iter().map(|sh| UpdKernel::cached(sh, req.backend)).collect();
         Self {
             shape,
-            copies,
+            copies: choose_copies(&shape, req.threads, machine),
             kernels,
             variant_of_rows,
             bp: blocking.upd_bp,
-            nthreads,
+            nthreads: req.threads,
             dout_pad,
             input_pad,
             copy_scratch: Mutex::new(None),
         }
+    }
+
+    /// As [`UpdPlan::new`] but with the copy count forced (ablations).
+    pub fn with_forced_copies(req: &PlanRequest, machine: &MachineModel, copies: usize) -> Self {
+        assert!(copies >= 1 && req.threads.is_multiple_of(copies), "copies must divide the team");
+        Self { copies, ..Self::new(req, machine) }
     }
 
     /// The chosen number of partial dW copies.
@@ -248,10 +196,10 @@ impl UpdPlan {
             Some(b) if b.len() == slen => b,
             _ => AVec::zeroed(slen),
         };
-        let scratch_ptr = SendMutPtr(scratch.as_mut_ptr());
-        let dw_ptr = SendMutPtr(dweights.as_mut_ptr());
-        let in_ptr = SendConstPtr(input.as_ptr());
-        let do_ptr = SendConstPtr(dout.as_ptr());
+        let scratch_ptr = SendPtr(scratch.as_mut_ptr());
+        let dw_ptr = SendPtr(dweights.as_mut_ptr());
+        let in_ptr = SendPtr::new(input.as_ptr());
+        let do_ptr = SendPtr::new(dout.as_ptr());
 
         let tasks = sh.kb() * sh.cb() * sh.r * sh.s;
         let p = sh.p();
@@ -362,15 +310,19 @@ impl UpdPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking;
+    use crate::{blocking, LayerOptions};
+
+    fn plan(shape: ConvShape, b: Blocking, threads: usize, prefetch: bool) -> UpdPlan {
+        let opts = LayerOptions::new(threads).with_prefetch(prefetch).with_dout_pad(0);
+        UpdPlan::new(&PlanRequest::new(shape, b, &opts), &MachineModel::skx())
+    }
     use crate::reference::conv_upd_ref;
     use tensor::{Kcrs, Nchw, Norms};
 
     fn run_case(shape: ConvShape, threads: usize, force_copies: Option<usize>) -> usize {
         let pool = ThreadPool::new(threads);
         let b = blocking::choose(&shape);
-        let mut plan =
-            UpdPlan::new(shape, b, threads, Backend::Auto, true, &MachineModel::skx(), 0);
+        let mut plan = plan(shape, b, threads, true);
         if let Some(g) = force_copies {
             assert_eq!(threads % g, 0);
             plan.copies = g;
@@ -416,7 +368,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut b = blocking::choose(&shape);
         b.upd_bp = 4; // 10 = 4 + 4 + 2 -> remainder variant
-        let plan = UpdPlan::new(shape, b, 2, Backend::Auto, false, &MachineModel::skx(), 0);
+        let plan = plan(shape, b, 2, false);
         assert_eq!(plan.kernels.len(), 2);
         let x = Nchw::random(1, 16, 10, 10, 5);
         let gy = Nchw::random(1, 16, 10, 10, 6);
@@ -435,7 +387,7 @@ mod tests {
         let shape = ConvShape::new(4, 32, 32, 8, 8, 3, 3, 1, 1);
         let pool = ThreadPool::new(4);
         let b = blocking::choose(&shape);
-        let mut plan = UpdPlan::new(shape, b, 4, Backend::Auto, false, &MachineModel::skx(), 0);
+        let mut plan = plan(shape, b, 4, false);
         plan.copies = 4; // force the partial-copy path
         let x = Nchw::random(4, 32, 8, 8, 5);
         let gy = Nchw::random(4, 32, 8, 8, 6);
@@ -479,8 +431,7 @@ mod tests {
         for threads in [1usize, 2, 6] {
             let pool = ThreadPool::new(threads);
             let b = blocking::choose(&shape);
-            let plan =
-                UpdPlan::new(shape, b, threads, Backend::Auto, false, &MachineModel::skx(), 0);
+            let plan = plan(shape, b, threads, false);
             let mut dwb = BlockedFilter::zeros(32, 32, 3, 3);
             plan.run(&pool, &xb, &gyb, &mut dwb);
             outs.push(dwb.as_slice().to_vec());

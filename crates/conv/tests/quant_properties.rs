@@ -7,11 +7,19 @@
 //! f32 engine.
 
 use conv::blocking::{MAX_ACC, MIN_CHAINS};
-use conv::quant::{QuantFwdPlan, QuantOptions};
+use conv::fwd::FwdPlan;
+use conv::quant::QuantFwdPlan;
+use conv::{blocking, tune, FusedOp, LayerOptions, PlanRequest};
 use parallel::ThreadPool;
 use proptest::prelude::*;
 use tensor::vnni::{rne_sat_i8, BlockedI32, I8_QMAX};
 use tensor::{BlockedActs, ConvShape, VnniActs, VnniFilter, VLEN};
+
+/// The int16 plan of `shape` at the heuristic blocking.
+fn quant_plan(shape: ConvShape, threads: usize, chain: usize) -> QuantFwdPlan {
+    let opts = LayerOptions::new(threads).with_chain_limit(chain);
+    QuantFwdPlan::new(&PlanRequest::new(shape, blocking::choose(&shape), &opts))
+}
 
 /// Same plane-coverage check the f32 blocking properties pin.
 fn assert_tiles_cover_plane(rbp: usize, rbq: usize, p: usize, q: usize) {
@@ -101,12 +109,12 @@ proptest! {
         let xq = VnniActs::random(1, 128, 6, 6, 0, 3);
         let wq = VnniFilter::random(16, 128, 1, 1, 4);
         let reference = {
-            let plan = QuantFwdPlan::new(shape, &QuantOptions::new(2).with_chain_limit(1));
+            let plan = quant_plan(shape, 2, 1);
             let mut out = BlockedI32::zeros(1, 16, 6, 6);
             plan.run(&pool, &xq, &wq, &mut out);
             out.as_slice().to_vec()
         };
-        let plan = QuantFwdPlan::new(shape, &QuantOptions::new(2).with_chain_limit(chain));
+        let plan = quant_plan(shape, 2, chain);
         let mut out = BlockedI32::zeros(1, 16, 6, 6);
         plan.run(&pool, &xq, &wq, &mut out);
         prop_assert_eq!(reference, out.as_slice().to_vec(), "chain={}", chain);
@@ -136,10 +144,7 @@ proptest! {
         prop_assume!(h + 2 * pad >= r && w + 2 * pad >= r);
         let shape = ConvShape::new(1, cb * VLEN, kb * VLEN, h, w, r, r, stride, pad);
         let (p, q) = (shape.p(), shape.q());
-        let plan = QuantFwdPlan::new(
-            shape,
-            &QuantOptions::new(threads).with_chain_limit(chain),
-        );
+        let plan = quant_plan(shape, threads, chain);
         let b = plan.blocking();
 
         prop_assert!(b.rbp * b.rbq <= MAX_ACC, "{}: {:?}", shape, b);
@@ -153,5 +158,60 @@ proptest! {
         }
         prop_assert!(shape.cb().is_multiple_of(b.cb_inner), "{}: {:?}", shape, b);
         assert_tiles_cover_plane(b.rbp, b.rbq, p, q);
+    }
+
+    /// The f32 and the int16 plan built from one request record
+    /// identical streams — same segments, variant ids, element offsets
+    /// and APPLY records — whenever the chain clamp leaves `cb_inner`
+    /// alone: the layouts are element-parallel, so precision changes
+    /// the kernels a stream calls and nothing about the stream.
+    #[test]
+    fn f32_and_int16_plans_record_identical_streams(
+        cb in 1usize..5,
+        kb in 1usize..4,
+        n in 1usize..3,
+        h in 1usize..24,
+        w in 1usize..24,
+        spatial in any::<bool>(),
+        stride in 1usize..3,
+        cand in 0usize..64,
+        threads in 1usize..5,
+        extra_in_pad in 0usize..3,
+        out_pad in 0usize..3,
+        op_idx in 0usize..FusedOp::ALL.len(),
+        chain in 1usize..=4,
+    ) {
+        let (r, pad) = if spatial { (3, 1) } else { (1, 0) };
+        prop_assume!(h + 2 * pad >= r && w + 2 * pad >= r);
+        let shape = ConvShape::new(n, cb * VLEN, kb * VLEN, h, w, r, r, stride, pad);
+        let cands = tune::candidates(&shape);
+        let b = cands[cand % cands.len()];
+        let opts = LayerOptions::new(threads)
+            .with_input_pad(pad + extra_in_pad)
+            .with_out_pad(out_pad)
+            .with_fuse(FusedOp::ALL[op_idx])
+            .with_chain_limit(chain);
+        let req = PlanRequest::new(shape, b, &opts);
+        let (f, q) = (FwdPlan::new(&req), QuantFwdPlan::new(&req));
+        prop_assert_eq!(f.blocking().cb_inner, b.cb_inner, "f32 plans are never clamped");
+        prop_assert!(q.blocking().cb_inner <= chain, "{}: {:?}", shape, q.blocking());
+        if q.blocking().cb_inner == b.cb_inner {
+            prop_assert_eq!(f.kernel_variants(), q.kernel_variants());
+            prop_assert_eq!(f.streams().len(), threads);
+            for (sf, sq) in f.streams().iter().zip(q.streams()) {
+                prop_assert_eq!(&sf.segments, &sq.segments);
+                prop_assert_eq!(&sf.var, &sq.var);
+                prop_assert_eq!(&sf.inp, &sq.inp);
+                prop_assert_eq!(&sf.wt, &sq.wt);
+                prop_assert_eq!(&sf.out, &sq.out);
+                prop_assert_eq!(&sf.applies, &sq.applies);
+            }
+        } else {
+            // a shorter chain means more, shorter reduction steps
+            let calls = |streams: &[conv::streams::Stream]| -> usize {
+                streams.iter().map(|s| s.conv_count()).sum()
+            };
+            prop_assert!(calls(q.streams()) > calls(f.streams()));
+        }
     }
 }

@@ -670,44 +670,20 @@ impl Network {
         mode: ExecMode,
         cache: &PlanCache,
     ) -> Result<Self, Error> {
-        Self::build_with_fold(spec, minibatch, pool, mode, cache, true)
+        let (tune, precision) = (conv::TuneLevel::Heuristic, Precision::F32);
+        Self::build_quantized(spec, minibatch, pool, mode, cache, true, tune, precision)
     }
 
-    /// [`Self::build_with`] with the inference BN fusion pass made
-    /// explicit: `fold_bn = false` keeps every BN a standalone
-    /// frozen-stats pass — the unfused reference the fused executor is
-    /// benchmarked and tested against. Ignored in training mode.
-    pub fn build_with_fold(
-        spec: &ModelSpec,
-        minibatch: usize,
-        pool: Arc<ThreadPool>,
-        mode: ExecMode,
-        cache: &PlanCache,
-        fold_bn: bool,
-    ) -> Result<Self, Error> {
-        Self::build_tuned(spec, minibatch, pool, mode, cache, fold_bn, conv::TuneLevel::Heuristic)
-    }
-
-    /// [`Self::build_with_fold`] with the plan-time autotuner enabled:
-    /// every convolution's blocking is chosen at `tune` level
-    /// (see [`conv::TuneLevel`]), with winners memoized in `cache`'s
-    /// tuning store — replicas and repeated builds never re-tune, and
-    /// [`PlanCache::load_tuning`] lets a restart skip measurement
-    /// entirely.
-    pub fn build_tuned(
-        spec: &ModelSpec,
-        minibatch: usize,
-        pool: Arc<ThreadPool>,
-        mode: ExecMode,
-        cache: &PlanCache,
-        fold_bn: bool,
-        tune: conv::TuneLevel,
-    ) -> Result<Self, Error> {
-        Self::build_quantized(spec, minibatch, pool, mode, cache, fold_bn, tune, Precision::F32)
-    }
-
-    /// [`Self::build_tuned`] with the numeric execution mode made
-    /// explicit. At [`Precision::Int8`] (inference mode only) every
+    /// [`Self::build_with`] with every plan-time decision explicit.
+    /// `fold_bn = false` keeps every BN a standalone frozen-stats pass
+    /// — the unfused reference the fused executor is benchmarked and
+    /// tested against (ignored in training mode). Every convolution's
+    /// blocking is chosen at `tune` level (see [`conv::TuneLevel`]),
+    /// with winners memoized in `cache`'s tuning store — replicas and
+    /// repeated builds never re-tune, and [`PlanCache::load_tuning`]
+    /// lets a restart skip measurement entirely.
+    ///
+    /// At [`Precision::Int8`] (inference mode only) every
     /// convolution plans a fused quantized forward next to its f32
     /// plan; nodes whose input-scale estimate can be derived from BN
     /// parameters execute int8 immediately, the rest fall back to f32
@@ -1319,10 +1295,6 @@ impl Network {
         self.blobs[self.slot_of[self.alias[node]]] = Some(b);
     }
 
-    fn bottoms_of(&self, node: usize) -> Vec<usize> {
-        self.etg.eng.preds[node].clone()
-    }
-
     /// Take `node`'s first bottom blob and its own output blob.
     fn take_io(&mut self, node: usize) -> (usize, Blob, Blob) {
         let b0 = self.etg.eng.preds[node][0];
@@ -1333,6 +1305,13 @@ impl Network {
     fn put_io(&mut self, node: usize, b0: usize, bot: Blob, own: Blob) {
         self.put_blob(b0, bot);
         self.put_blob(node, own);
+    }
+
+    /// Take `node`'s residual (second-bottom) blob — `None` when it has
+    /// none or the residual shares the first bottom `b0`'s storage.
+    fn take_residual(&mut self, node: usize, b0: usize) -> Option<(usize, Blob)> {
+        let b1 = *self.etg.eng.preds[node].get(1)?;
+        (self.alias[b1] != self.alias[b0]).then(|| (b1, self.take_blob(b1)))
     }
 
     fn forward_node(&mut self, node: usize) -> Option<StepStats> {
@@ -1353,9 +1332,7 @@ impl Network {
                     return None;
                 }
                 let (b0, bot, mut own) = self.take_io(node);
-                let b1 = self.etg.eng.preds[node].get(1).copied();
-                let res =
-                    b1.filter(|&b| self.alias[b] != self.alias[b0]).map(|b| self.take_blob(b));
+                let res = self.take_residual(node, b0);
                 let training = self.mode == ExecMode::Training;
                 let LayerState::Bn { gamma, beta, saved, running_mean, running_var, relu, .. } =
                     &mut self.layers[node]
@@ -1370,7 +1347,7 @@ impl Network {
                         &beta.w,
                         BN_EPS,
                         *relu,
-                        res.as_ref().map(|b| &b.act),
+                        res.as_ref().map(|(_, b)| &b.act),
                         &mut own.act,
                         saved,
                     );
@@ -1397,11 +1374,11 @@ impl Network {
                         running_var,
                         BN_EPS,
                         *relu,
-                        res.as_ref().map(|b| &b.act),
+                        res.as_ref().map(|(_, b)| &b.act),
                         &mut own.act,
                     );
                 }
-                if let (Some(b1), Some(r)) = (b1, res) {
+                if let Some((b1, r)) = res {
                     self.put_blob(b1, r);
                 }
                 self.put_io(node, b0, bot, own);
@@ -1528,186 +1505,147 @@ impl Network {
         for b in self.blobs.iter_mut().flatten() {
             b.grad.as_mut().expect("training blobs carry gradients").zero();
         }
-        let bwd = self.etg.bwd.clone();
-        for t in &bwd {
-            self.backward_node(t.node);
+        for pos in 0..self.etg.bwd.len() {
+            self.backward_node(self.etg.bwd[pos].node);
         }
     }
 
     fn backward_node(&mut self, node: usize) {
-        let spec = self.etg.eng.nodes[node].clone();
-        match spec {
-            NodeSpec::Input { .. } | NodeSpec::Split { .. } => {}
-            NodeSpec::SoftmaxLoss { .. } => {
-                let bots = self.bottoms_of(node);
-                let mut bot = self.take_blob(bots[0]);
-                let labels = self.labels.clone();
-                if let LayerState::SoftmaxLoss { probs, classes } = &self.layers[node] {
-                    ops::softmax_loss_bwd(probs, *classes, &labels, bot.grad.as_mut().unwrap());
-                }
-                self.put_blob(bots[0], bot);
+        // matched without bindings, as in `forward_node`
+        match self.layers[node] {
+            LayerState::Input | LayerState::Split => {}
+            LayerState::SoftmaxLoss { .. } => {
+                let b0 = self.etg.eng.preds[node][0];
+                let mut bot = self.take_blob(b0);
+                let LayerState::SoftmaxLoss { probs, classes } = &self.layers[node] else {
+                    unreachable!("matched the loss node above")
+                };
+                ops::softmax_loss_bwd(probs, *classes, &self.labels, bot.grad.as_mut().unwrap());
+                self.put_blob(b0, bot);
             }
-            NodeSpec::Fc { .. } => {
-                let bots = self.bottoms_of(node);
-                let mut bot = self.take_blob(bots[0]);
-                let own = self.take_blob(node);
-                if let LayerState::Fc { w, b, .. } = &mut self.layers[node] {
-                    ops::fc_bwd(
-                        &self.pool,
-                        &bot.act,
-                        own.grad.as_ref().unwrap(),
-                        &w.w,
-                        bot.grad.as_mut().unwrap(),
-                        &mut w.dw,
-                        &mut b.dw,
-                    );
-                }
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
+            LayerState::Fc { .. } => {
+                let (b0, mut bot, own) = self.take_io(node);
+                let LayerState::Fc { w, b, .. } = &mut self.layers[node] else {
+                    unreachable!("matched an fc node above")
+                };
+                ops::fc_bwd(
+                    &self.pool,
+                    &bot.act,
+                    own.grad.as_ref().unwrap(),
+                    &w.w,
+                    bot.grad.as_mut().unwrap(),
+                    &mut w.dw,
+                    &mut b.dw,
+                );
+                self.put_io(node, b0, bot, own);
             }
-            NodeSpec::GlobalAvgPool { .. } => {
-                let bots = self.bottoms_of(node);
-                let mut bot = self.take_blob(bots[0]);
-                let own = self.take_blob(node);
+            LayerState::Gap => {
+                let (b0, mut bot, own) = self.take_io(node);
                 ops::gap_bwd(&self.pool, own.grad.as_ref().unwrap(), bot.grad.as_mut().unwrap());
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
+                self.put_io(node, b0, bot, own);
             }
-            NodeSpec::Pool { .. } => {
-                let bots = self.bottoms_of(node);
-                let mut bot = self.take_blob(bots[0]);
-                let own = self.take_blob(node);
-                if let LayerState::Pool { kind, size, stride, pad, argmax } = &self.layers[node] {
-                    match kind {
-                        PoolKind::Max => ops::maxpool_bwd(
-                            &self.pool,
-                            own.grad.as_ref().unwrap(),
-                            argmax,
-                            bot.grad.as_mut().unwrap(),
-                        ),
-                        PoolKind::Avg => ops::avgpool_bwd(
-                            &self.pool,
-                            own.grad.as_ref().unwrap(),
-                            *size,
-                            *stride,
-                            *pad,
-                            bot.grad.as_mut().unwrap(),
-                        ),
-                    }
-                }
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
-            }
-            NodeSpec::Bn { .. } => {
-                let bots = self.bottoms_of(node);
-                let mut bot = self.take_blob(bots[0]);
-                let own = self.take_blob(node);
-                let mut res = if bots.len() > 1 && self.alias[bots[1]] != self.alias[bots[0]] {
-                    Some(self.take_blob(bots[1]))
-                } else {
-                    None
+            LayerState::Pool { .. } => {
+                let (b0, mut bot, own) = self.take_io(node);
+                let LayerState::Pool { kind, size, stride, pad, argmax } = &self.layers[node]
+                else {
+                    unreachable!("matched a pool node above")
                 };
-                if let LayerState::Bn { gamma, beta, saved, relu, .. } = &mut self.layers[node] {
-                    ops::bn_bwd(
-                        &self.pool,
-                        &bot.act,
-                        &own.act,
-                        own.grad.as_ref().unwrap(),
-                        &gamma.w,
-                        saved,
-                        *relu,
-                        res.as_mut().map(|b| b.grad.as_mut().unwrap()),
-                        bot.grad.as_mut().unwrap(),
-                        &mut gamma.dw,
-                        &mut beta.dw,
-                    );
+                let (dout, din) = (own.grad.as_ref().unwrap(), bot.grad.as_mut().unwrap());
+                match kind {
+                    PoolKind::Max => ops::maxpool_bwd(&self.pool, dout, argmax, din),
+                    PoolKind::Avg => ops::avgpool_bwd(&self.pool, dout, *size, *stride, *pad, din),
                 }
-                if let Some(r) = res {
-                    self.put_blob(bots[1], r);
-                }
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
+                self.put_io(node, b0, bot, own);
             }
-            NodeSpec::Conv { .. } => {
-                let bots = self.bottoms_of(node);
-                let mut bot = self.take_blob(bots[0]);
-                let own = self.take_blob(node);
-                let mut res = if bots.len() > 1 && self.alias[bots[1]] != self.alias[bots[0]] {
-                    Some(self.take_blob(bots[1]))
-                } else {
-                    None
+            LayerState::Bn { .. } => {
+                let (b0, mut bot, own) = self.take_io(node);
+                let mut res = self.take_residual(node, b0);
+                let LayerState::Bn { gamma, beta, saved, relu, .. } = &mut self.layers[node] else {
+                    unreachable!("matched a bn node above")
                 };
-                if let LayerState::Conv { layer, w, bias, relu, eltwise, train, .. } =
+                ops::bn_bwd(
+                    &self.pool,
+                    &bot.act,
+                    &own.act,
+                    own.grad.as_ref().unwrap(),
+                    &gamma.w,
+                    saved,
+                    *relu,
+                    res.as_mut().map(|(_, b)| b.grad.as_mut().unwrap()),
+                    bot.grad.as_mut().unwrap(),
+                    &mut gamma.dw,
+                    &mut beta.dw,
+                );
+                if let Some((b1, r)) = res {
+                    self.put_blob(b1, r);
+                }
+                self.put_io(node, b0, bot, own);
+            }
+            LayerState::Conv { .. } => {
+                let (b0, mut bot, own) = self.take_io(node);
+                let mut res = self.take_residual(node, b0);
+                let LayerState::Conv { layer, w, bias, relu, eltwise, train, .. } =
                     &mut self.layers[node]
-                {
-                    let ts = train.as_mut().expect("backward requires training-mode state");
-                    let own_grad = own.grad.as_ref().unwrap();
-                    // mask the incoming gradient through the fused ReLU;
-                    // route it to the residual branch as well
-                    let has_post = *relu || eltwise.is_some();
-                    let g_len = own_grad.as_slice().len();
-                    if has_post {
-                        for i in 0..g_len {
-                            let mut g = own_grad.as_slice()[i];
-                            if *relu && own.act.as_slice()[i] <= 0.0 {
-                                g = 0.0;
-                            }
-                            ts.dout_masked.as_mut_slice()[i] = g;
+                else {
+                    unreachable!("matched a conv node above")
+                };
+                let ts = train.as_mut().expect("backward requires training-mode state");
+                let own_grad = own.grad.as_ref().unwrap();
+                // mask the incoming gradient through the fused ReLU;
+                // route it to the residual branch as well
+                if *relu || eltwise.is_some() {
+                    for i in 0..own_grad.as_slice().len() {
+                        let mut g = own_grad.as_slice()[i];
+                        if *relu && own.act.as_slice()[i] <= 0.0 {
+                            g = 0.0;
                         }
-                        if eltwise.is_some() {
-                            if let Some(r) = res.as_mut() {
-                                for (d, s) in r
-                                    .grad
-                                    .as_mut()
-                                    .unwrap()
-                                    .as_mut_slice()
-                                    .iter_mut()
-                                    .zip(ts.dout_masked.as_slice())
-                                {
-                                    *d += s;
-                                }
-                            }
-                        }
-                    } else {
-                        ts.dout_masked.as_mut_slice().copy_from_slice(own_grad.as_slice());
+                        ts.dout_masked.as_mut_slice()[i] = g;
                     }
-                    // bias gradient
-                    if let Some(bp) = bias.as_mut() {
-                        bp.dw.fill(0.0);
-                        let dm = &ts.dout_masked;
-                        let plane = dm.h * dm.w;
-                        for n in 0..dm.n {
-                            for kb in 0..dm.cb {
-                                let base = (n * dm.cb + kb) * plane * VLEN;
-                                for px in 0..plane {
-                                    for v in 0..VLEN {
-                                        bp.dw[kb * VLEN + v] += dm.as_slice()[base + px * VLEN + v];
-                                    }
+                    if let (Some(_), Some((_, r))) = (eltwise.as_ref(), res.as_mut()) {
+                        let rg = r.grad.as_mut().unwrap().as_mut_slice();
+                        for (d, s) in rg.iter_mut().zip(ts.dout_masked.as_slice()) {
+                            *d += s;
+                        }
+                    }
+                } else {
+                    ts.dout_masked.as_mut_slice().copy_from_slice(own_grad.as_slice());
+                }
+                // bias gradient
+                if let Some(bp) = bias.as_mut() {
+                    bp.dw.fill(0.0);
+                    let dm = &ts.dout_masked;
+                    let plane = dm.h * dm.w;
+                    for n in 0..dm.n {
+                        for kb in 0..dm.cb {
+                            let base = (n * dm.cb + kb) * plane * VLEN;
+                            for px in 0..plane {
+                                for v in 0..VLEN {
+                                    bp.dw[kb * VLEN + v] += dm.as_slice()[base + px * VLEN + v];
                                 }
                             }
                         }
                     }
-                    // dI then accumulate into the bottom's gradient
-                    layer.backward(&self.pool, &ts.dout_masked, w, &mut ts.di_scratch);
-                    ops::accumulate(&self.pool, bot.grad.as_mut().unwrap(), &ts.di_scratch);
                 }
-                if let Some(r) = res {
-                    self.put_blob(bots[1], r);
+                // dI then accumulate into the bottom's gradient
+                layer.backward(&self.pool, &ts.dout_masked, w, &mut ts.di_scratch);
+                ops::accumulate(&self.pool, bot.grad.as_mut().unwrap(), &ts.di_scratch);
+                if let Some((b1, r)) = res {
+                    self.put_blob(b1, r);
                 }
-                self.put_blob(bots[0], bot);
-                self.put_blob(node, own);
+                self.put_io(node, b0, bot, own);
             }
-            NodeSpec::Concat { .. } => {
-                let bots = self.bottoms_of(node);
+            LayerState::Concat => {
                 let own = self.take_blob(node);
-                let mut parts: Vec<Blob> = bots.iter().map(|&b| self.take_blob(b)).collect();
+                let mut parts: Vec<Blob> = (0..self.etg.eng.preds[node].len())
+                    .map(|j| self.take_blob(self.etg.eng.preds[node][j]))
+                    .collect();
                 {
                     let mut refs: Vec<&mut BlockedActs> =
                         parts.iter_mut().map(|p| p.grad.as_mut().unwrap()).collect();
                     ops::concat_bwd(own.grad.as_ref().unwrap(), &mut refs);
                 }
-                for (b, p) in bots.iter().zip(parts) {
-                    self.put_blob(*b, p);
+                for (j, p) in parts.into_iter().enumerate() {
+                    self.put_blob(self.etg.eng.preds[node][j], p);
                 }
                 self.put_blob(node, own);
             }
@@ -1717,17 +1655,19 @@ impl Network {
     /// Weight-gradient update pass (the heavy dW computations).
     pub fn update(&mut self) {
         assert_eq!(self.mode, ExecMode::Training, "update needs a Training-mode network");
-        let upd = self.etg.upd.clone();
-        for t in &upd {
-            if let NodeSpec::Conv { .. } = self.etg.eng.nodes[t.node] {
-                let bots = self.bottoms_of(t.node);
-                let bot = self.take_blob(bots[0]);
-                if let LayerState::Conv { layer, train, .. } = &mut self.layers[t.node] {
-                    let ts = train.as_mut().expect("update requires training-mode state");
-                    layer.update(&self.pool, &bot.act, &ts.dout_masked, &mut ts.dw);
-                }
-                self.put_blob(bots[0], bot);
+        for pos in 0..self.etg.upd.len() {
+            let node = self.etg.upd[pos].node;
+            if !matches!(self.layers[node], LayerState::Conv { .. }) {
+                continue;
             }
+            let b0 = self.etg.eng.preds[node][0];
+            let bot = self.take_blob(b0);
+            let LayerState::Conv { layer, train, .. } = &mut self.layers[node] else {
+                unreachable!("matched a conv node above")
+            };
+            let ts = train.as_mut().expect("update requires training-mode state");
+            layer.update(&self.pool, &bot.act, &ts.dout_masked, &mut ts.dw);
+            self.put_blob(b0, bot);
         }
     }
 
@@ -2042,6 +1982,19 @@ mod tests {
     use super::*;
     use crate::parser::parse_topology;
 
+    /// Inference network with the BN fusion pass off (the reference).
+    fn unfused_net(
+        spec: &ModelSpec,
+        minibatch: usize,
+        pool: &Arc<ThreadPool>,
+        cache: &PlanCache,
+    ) -> Network {
+        let (mode, tune) = (ExecMode::Inference, conv::TuneLevel::Heuristic);
+        let pool = Arc::clone(pool);
+        Network::build_quantized(spec, minibatch, pool, mode, cache, false, tune, Precision::F32)
+            .unwrap()
+    }
+
     fn small_cnn() -> ModelSpec {
         parse_topology(
             "input name=data c=16 h=16 w=16\n\
@@ -2254,9 +2207,7 @@ mod tests {
 
         let mut fused =
             Network::build_with(&nl, 4, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
-        let mut unfused =
-            Network::build_with_fold(&nl, 4, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-                .unwrap();
+        let mut unfused = unfused_net(&nl, 4, &pool, &cache);
         // b0/b1 fold; b2's residual (b0's blob) carries physical pad 1
         // for the 3×3 conv c1 while b2's own output is pad-0, so the
         // geometry gate keeps b2 a standalone frozen-stats pass — the
@@ -2319,9 +2270,7 @@ mod tests {
 
         let mut fused =
             Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
-        let mut unfused =
-            Network::build_with_fold(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-                .unwrap();
+        let mut unfused = unfused_net(&nl, 2, &pool, &cache);
         assert_eq!(fused.folded_bn_count(), 3, "all BNs fold, including the residual join");
         // the fused-plan flavour is observable through the cache
         let stats = cache.stats();

@@ -47,7 +47,7 @@ use tensor::VLEN;
 
 /// Which kernel class (and generating shape) a byte stream claims to
 /// implement — the contract [`verify`] checks the bytes against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelSpec {
     /// f32 forward/backward kernel from [`jit::assemble_fwd`]-style
     /// emission for this [`KernelShape`].

@@ -112,17 +112,6 @@ pub fn inception_v3_model_sized(input_hw: usize, classes: usize) -> gxm::ModelSp
         .expect("inception graph is valid by construction")
 }
 
-/// String shim for the pre-typed API: [`inception_v3_model`] as text.
-pub fn inception_v3_topology(classes: usize) -> String {
-    inception_v3_model(classes).to_text()
-}
-
-/// String shim for the pre-typed API: [`inception_v3_model_sized`] as
-/// text.
-pub fn inception_v3_topology_sized(input_hw: usize, classes: usize) -> String {
-    inception_v3_model_sized(input_hw, classes).to_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,20 +134,21 @@ mod tests {
 
     #[test]
     fn topology_parses_and_has_concat() {
-        let spec = gxm::ModelSpec::parse(&inception_v3_topology(1000)).expect("valid");
+        let spec = gxm::ModelSpec::parse(&inception_v3_model(1000).to_text()).expect("valid");
         assert!(spec.nodes().iter().any(|n| matches!(n, gxm::NodeSpec::Concat { .. })));
         // the mixed block concatenates 64+64+96+32 = 256 channels
         let mix = spec.nodes().iter().position(|n| n.name() == "mixed1").unwrap();
         assert_eq!(spec.shapes()[mix].0, 256);
-        // and the text shim round-trips to the same spec
+        // and the canonical text round-trips to the same spec
         assert_eq!(spec, inception_v3_model(1000));
     }
 
     #[test]
     fn sized_topology_matches_default_at_147() {
-        assert_eq!(inception_v3_topology(10), inception_v3_topology_sized(147, 10));
+        assert_eq!(inception_v3_model(10), inception_v3_model_sized(147, 10));
         // a reduced-resolution instance still parses
-        let spec = gxm::ModelSpec::parse(&inception_v3_topology_sized(63, 10)).expect("valid");
+        let spec =
+            gxm::ModelSpec::parse(&inception_v3_model_sized(63, 10).to_text()).expect("valid");
         assert!(spec.nodes().iter().any(|n| matches!(n, gxm::NodeSpec::Concat { .. })));
     }
 }

@@ -5,14 +5,11 @@
 //! * the **kernel view** — the distinct convolution layer shapes used
 //!   by the per-layer benchmarks (Figures 4–8),
 //! * the **graph view** — a validated [`gxm::ModelSpec`] for
-//!   end-to-end training (Figure 9), with `*_topology` string shims
-//!   kept for the pre-typed text API.
+//!   end-to-end training (Figure 9); `ModelSpec::to_text` emits the
+//!   canonical GxM topology text.
 
 pub mod inception;
 pub mod resnet;
 
-pub use inception::{
-    inception_v3_layers, inception_v3_model, inception_v3_model_sized, inception_v3_topology,
-    inception_v3_topology_sized,
-};
-pub use resnet::{resnet50_model, resnet50_table1, resnet50_topology, TableRow};
+pub use inception::{inception_v3_layers, inception_v3_model, inception_v3_model_sized};
+pub use resnet::{resnet50_model, resnet50_table1, TableRow};

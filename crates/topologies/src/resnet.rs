@@ -103,12 +103,6 @@ pub fn resnet50_model(input_hw: usize, classes: usize) -> gxm::ModelSpec {
         .expect("resnet50 graph is valid by construction")
 }
 
-/// String shim for the pre-typed API: [`resnet50_model`] emitted as
-/// canonical GxM topology text.
-pub fn resnet50_topology(input_hw: usize, classes: usize) -> String {
-    resnet50_model(input_hw, classes).to_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,13 +139,13 @@ mod tests {
     #[test]
     fn model_round_trips_through_text() {
         let model = resnet50_model(224, 1000);
-        let reparsed = gxm::ModelSpec::parse(&resnet50_topology(224, 1000)).unwrap();
-        assert_eq!(model, reparsed, "string shim must emit the same graph");
+        let reparsed = gxm::ModelSpec::parse(&model.to_text()).unwrap();
+        assert_eq!(model, reparsed, "the canonical text must describe the same graph");
     }
 
     #[test]
     fn topology_text_parses_and_covers_table() {
-        let text = resnet50_topology(224, 1000);
+        let text = resnet50_model(224, 1000).to_text();
         let spec = gxm::ModelSpec::parse(&text).expect("valid topology");
         let nl = spec.nodes();
         // 1 stem conv + 16 blocks × 3 convs + 4 shortcut convs = 53

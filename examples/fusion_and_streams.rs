@@ -14,7 +14,7 @@
 use anatomy::baselines::{ConvBaseline, MkldnnConv};
 use anatomy::conv::fuse::{apply_unfused, FuseCtx, FusedOp};
 use anatomy::conv::fwd::FwdPlan;
-use anatomy::conv::{blocking, Backend, ConvLayer, LayerOptions};
+use anatomy::conv::{blocking, ConvLayer, LayerOptions, PlanRequest};
 use anatomy::parallel::ThreadPool;
 use anatomy::tensor::{BlockedActs, BlockedFilter, ConvShape};
 
@@ -60,7 +60,7 @@ fn main() {
 
     // streams metadata compactness + replay vs branchy loops
     let b = blocking::choose(&shape);
-    let plan = FwdPlan::new(shape, b, threads, Backend::Auto, true, FusedOp::None, None);
+    let plan = FwdPlan::new(&PlanRequest::new(shape, b, &LayerOptions::new(threads)));
     println!(
         "kernel streams: {} variants, {} bytes of metadata for {} microkernel calls/step",
         plan.kernel_variants(),

@@ -18,6 +18,7 @@
 //! cargo run --release --example save_load_serve -- [--hw 32] [--steps 2] [--out model.anat]
 //! ```
 
+use anatomy::conv::PlanCache;
 use anatomy::gxm::data::SyntheticData;
 use anatomy::gxm::Network;
 use anatomy::serve::{BatchingFrontend, ServeConfig};
@@ -113,7 +114,9 @@ fn main() {
     let cfg = ServeConfig::new(1, threads, minibatch)
         .with_max_wait(Duration::from_millis(1))
         .with_pinning(false);
-    let frontend = BatchingFrontend::with_weights(&model, cfg, &reloaded).expect("valid model");
+    let frontend =
+        BatchingFrontend::with_cache_and_weights(&model, cfg, PlanCache::new(), Some(&reloaded))
+            .expect("valid model");
     let out2 = frontend.infer(&probe).expect("pipeline alive");
     assert_eq!(out2.probs, served.probs, "frontend must serve the same trained weights");
     let sample = c * h * w;

@@ -178,29 +178,17 @@ impl InferenceSession {
         Self::build(model, minibatch, pool, cache, true, TuneLevel::Heuristic, Precision::F32)
     }
 
-    /// [`Self::with_shared`] with the plan-time autotuner enabled:
-    /// every convolution's blocking is chosen at `tune` level
+    /// [`Self::with_shared`] with the plan-time decisions explicit.
+    /// Every convolution's blocking is chosen at `tune` level
     /// (model-ranked search, optionally micro-bench-measured on
     /// `pool`), with winners memoized in `cache` so replicas and
-    /// repeated builds never re-tune. See [`conv::tune`].
-    pub fn with_shared_tuned(
-        model: impl IntoModelSpec,
-        minibatch: usize,
-        pool: Arc<parallel::ThreadPool>,
-        cache: conv::PlanCache,
-        tune: TuneLevel,
-    ) -> Result<Self, Error> {
-        Self::build(model, minibatch, pool, cache, true, tune, Precision::F32)
-    }
-
-    /// [`Self::with_shared_tuned`] with the numeric execution mode made
-    /// explicit. At [`Precision::Int8`] every convolution whose input
-    /// range is derivable (from folded-BN statistics, or measured via
+    /// repeated builds never re-tune (see [`conv::tune`]). At
+    /// [`Precision::Int8`] every convolution whose input range is
+    /// derivable (from folded-BN statistics, or measured via
     /// [`Self::calibrate`]) executes the paper's Section II-K
     /// reduced-precision path — quantize → int8/VNNI convolution →
     /// fused requantize — while underivable nodes fall back to their
-    /// f32 plans (DESIGN.md §11). [`Precision::F32`] is exactly
-    /// [`Self::with_shared_tuned`].
+    /// f32 plans (DESIGN.md §11).
     pub fn with_shared_quantized(
         model: impl IntoModelSpec,
         minibatch: usize,

@@ -574,44 +574,22 @@ impl BatchingFrontend {
     /// anything [`IntoModelSpec`]: a spec, a builder, or topology
     /// text.
     pub fn new(model: impl IntoModelSpec, cfg: ServeConfig) -> Result<Self, Error> {
-        Self::with_cache(model, cfg, PlanCache::new())
-    }
-
-    /// Build a frontend serving trained weights: every replica loads
-    /// `weights` (a [`StateDict`] exported by
-    /// [`gxm::Network::state_dict`]) before serving. Replicas are
-    /// deterministic in the weights alone — every replica serves the
-    /// identical bits, and bn-graph predictions use the dict's frozen
-    /// running statistics (batch-composition-independent).
-    pub fn with_weights(
-        model: impl IntoModelSpec,
-        cfg: ServeConfig,
-        weights: &StateDict,
-    ) -> Result<Self, Error> {
-        let spec = model.into_model_spec()?;
-        Self::build(&spec, cfg, PlanCache::new(), Some(weights))
+        Self::with_cache_and_weights(model, cfg, PlanCache::new(), None)
     }
 
     /// Build a frontend whose replicas plan through `cache` (share one
     /// cache across frontends to JIT each distinct layer shape once
-    /// per process).
+    /// per process) and, when `weights` is given, serve trained
+    /// weights: every replica loads the [`StateDict`] (exported by
+    /// [`gxm::Network::state_dict`]) before serving — the constructor
+    /// a multi-model host uses.
     ///
     /// All replicas are built through the same cache with identical
     /// thread counts, so replica 1..N hit the plans replica 0 built:
-    /// N replicas cost one JIT + dryrun pass.
-    pub fn with_cache(
-        model: impl IntoModelSpec,
-        cfg: ServeConfig,
-        cache: PlanCache,
-    ) -> Result<Self, Error> {
-        let spec = model.into_model_spec()?;
-        Self::build(&spec, cfg, cache, None)
-    }
-
-    /// [`Self::with_cache`] plus optional initial weights — the
-    /// constructor a multi-model host uses so every hosted frontend
-    /// plans through one shared cache *and* starts from its own
-    /// trained [`StateDict`].
+    /// N replicas cost one JIT + dryrun pass. Replicas are
+    /// deterministic in the weights alone — every replica serves the
+    /// identical bits, and bn-graph predictions use the dict's frozen
+    /// running statistics (batch-composition-independent).
     pub fn with_cache_and_weights(
         model: impl IntoModelSpec,
         cfg: ServeConfig,
@@ -639,42 +617,34 @@ impl BatchingFrontend {
                 cfg.queue_cap, cfg.minibatch
             )));
         }
-        // Build every session up front (cheap after the first: shared
-        // plan cache), then move each into its replica thread.
-        let mut sessions = Vec::with_capacity(cfg.replicas);
+        let calibration = Arc::new(if cfg.precision == Precision::Int8 {
+            cfg.calibration.clone()
+        } else {
+            Vec::new()
+        });
+        let initial_weights = weights.map(|w| Arc::new(w.clone()));
+        // Build every replica's session up front through the factory
+        // its supervisor will rebuild it with (cheap after the first:
+        // shared plan cache), then move each pair into its thread.
+        let mut replicas = Vec::with_capacity(cfg.replicas);
         for r in 0..cfg.replicas {
-            let mut opts =
-                PoolOptions::new(cfg.threads_per_replica).with_name(format!("serve-r{r}"));
-            opts = if cfg.pin_replicas {
-                opts.with_core_offset(r * cfg.threads_per_replica)
-            } else {
-                opts.without_pinning()
+            let factory = ReplicaFactory {
+                spec: spec.clone(),
+                minibatch: cfg.minibatch,
+                threads: cfg.threads_per_replica,
+                pin_offset: cfg.pin_replicas.then_some(r * cfg.threads_per_replica),
+                pool_name: format!("serve-r{r}"),
+                cache: cache.clone(),
+                tune: cfg.tune,
+                precision: cfg.precision,
+                initial_weights: initial_weights.clone(),
             };
-            let pool = Arc::new(ThreadPool::with_options(opts));
-            let mut session = InferenceSession::with_shared_quantized(
-                spec,
-                cfg.minibatch,
-                pool,
-                cache.clone(),
-                cfg.tune,
-                cfg.precision,
-            )?;
-            if let Some(sd) = weights {
-                session.load_state_dict(sd)?;
-            }
-            if cfg.precision == Precision::Int8 && !cfg.calibration.is_empty() {
-                let se = session.sample_elems();
-                if !cfg.calibration.len().is_multiple_of(se) {
-                    return Err(Error::BadInput(format!(
-                        "calibration must be a multiple of sample_elems ({se}) f32s, got {}",
-                        cfg.calibration.len()
-                    )));
-                }
-                session.calibrate(&cfg.calibration, cfg.calibration.len() / se)?;
-            }
-            sessions.push(session);
+            let mut session = factory.session()?;
+            apply_weights(&mut session, weights, &calibration)?;
+            replicas.push((factory, session));
         }
-        let schema: Vec<(String, Vec<usize>)> = sessions[0]
+        let first = &replicas[0].1;
+        let schema: Vec<(String, Vec<usize>)> = first
             .network()
             .state_dict()
             .iter()
@@ -689,18 +659,13 @@ impl BatchingFrontend {
             counters: Arc::new(ServeCounters::default()),
             stats: Mutex::new(StatsInner::default()),
             swap: Arc::new(HotSwap::new()),
-            sample_elems: sessions[0].sample_elems(),
+            sample_elems: first.sample_elems(),
             minibatch: cfg.minibatch,
-            classes: sessions[0].classes(),
+            classes: first.classes(),
             queue_cap: cfg.queue_cap,
             precision: cfg.precision,
-            calibration: Arc::new(if cfg.precision == Precision::Int8 {
-                cfg.calibration.clone()
-            } else {
-                Vec::new()
-            }),
+            calibration,
         });
-        let initial_weights = weights.map(|w| Arc::new(w.clone()));
         let restart = RestartPolicy {
             max_attempts: cfg.max_restart_attempts,
             backoff: cfg.restart_backoff,
@@ -708,24 +673,13 @@ impl BatchingFrontend {
         };
         let mut txs = Vec::with_capacity(cfg.replicas);
         let mut workers = Vec::with_capacity(cfg.replicas);
-        for (r, session) in sessions.into_iter().enumerate() {
+        for (r, (factory, session)) in replicas.into_iter().enumerate() {
             // bound 1: the dispatcher stays at most one batch ahead of
             // each replica, which keeps round-robin assignment fair
             // and bounds queued-but-undelivered work
             let (tx, rx) = sync_channel::<Vec<Pending>>(1);
             let sh = Arc::clone(&shared);
-            let pin = cfg.pin_replicas.then_some(r * cfg.threads_per_replica);
-            let factory = ReplicaFactory {
-                spec: spec.clone(),
-                minibatch: cfg.minibatch,
-                threads: cfg.threads_per_replica,
-                pin_offset: pin,
-                pool_name: format!("serve-r{r}"),
-                cache: cache.clone(),
-                tune: cfg.tune,
-                precision: cfg.precision,
-                initial_weights: initial_weights.clone(),
-            };
+            let pin = factory.pin_offset;
             let handle = std::thread::Builder::new()
                 .name(format!("serve-replica-{r}"))
                 .spawn(move || {
@@ -1103,40 +1057,62 @@ struct ReplicaFactory {
 }
 
 impl ReplicaFactory {
-    /// Rebuild a crashed replica's session from scratch: fresh thread
-    /// pool (same name/pinning — the old pool may have died with the
-    /// panic), a session planned through the shared cache (so the
-    /// rebuild costs no new JIT of already-planned shapes), the
-    /// current weights, and re-calibration at int8. Returns the
-    /// session and the weight generation it serves.
-    fn rebuild(&self, shared: &Shared) -> Result<(InferenceSession, u64), Error> {
-        fault::point("replica.rebuild");
+    /// A session on a fresh thread pool (the replica's name/pinning),
+    /// planned through the shared cache — so only the first build of a
+    /// layer shape JITs.
+    fn session(&self) -> Result<InferenceSession, Error> {
         let mut opts = PoolOptions::new(self.threads).with_name(self.pool_name.clone());
         opts = match self.pin_offset {
             Some(off) => opts.with_core_offset(off),
             None => opts.without_pinning(),
         };
-        let pool = Arc::new(ThreadPool::with_options(opts));
-        let mut session = InferenceSession::with_shared_quantized(
+        InferenceSession::with_shared_quantized(
             &self.spec,
             self.minibatch,
-            pool,
+            Arc::new(ThreadPool::with_options(opts)),
             self.cache.clone(),
             self.tune,
             self.precision,
-        )?;
+        )
+    }
+
+    /// Rebuild a crashed replica's session from scratch (the old pool
+    /// may have died with the panic) with the current weights — the
+    /// freshest published generation, else the initial ones — and
+    /// re-calibration at int8. Returns the session and the weight
+    /// generation it serves.
+    fn rebuild(&self, shared: &Shared) -> Result<(InferenceSession, u64), Error> {
+        fault::point("replica.rebuild");
+        let mut session = self.session()?;
         let (published, gen) = shared.swap.snapshot();
-        if let Some(sd) = &published {
-            session.load_state_dict(sd)?;
-        } else if let Some(sd) = &self.initial_weights {
-            session.load_state_dict(sd)?;
-        }
-        if !shared.calibration.is_empty() {
-            let n = shared.calibration.len() / shared.sample_elems;
-            session.calibrate(&shared.calibration, n)?;
-        }
+        let weights = published.as_deref().or(self.initial_weights.as_deref());
+        apply_weights(&mut session, weights, &shared.calibration)?;
         Ok((session, gen))
     }
+}
+
+/// Put `weights` (when given) into `session`, then — at int8, where
+/// `calibration` is non-empty — requantize against the measured ranges
+/// (a load by itself only sees BN-derived bounds).
+fn apply_weights(
+    session: &mut InferenceSession,
+    weights: Option<&StateDict>,
+    calibration: &[f32],
+) -> Result<(), Error> {
+    if let Some(sd) = weights {
+        session.load_state_dict(sd)?;
+    }
+    if !calibration.is_empty() {
+        let se = session.sample_elems();
+        if !calibration.len().is_multiple_of(se) {
+            return Err(Error::BadInput(format!(
+                "calibration must be a multiple of sample_elems ({se}) f32s, got {}",
+                calibration.len()
+            )));
+        }
+        session.calibrate(calibration, calibration.len() / se)?;
+    }
+    Ok(())
 }
 
 /// The replica restart policy of [`ServeConfig::with_restart_policy`].
@@ -1364,18 +1340,11 @@ fn serve_batches(
         if shared.swap.generation() != *weight_gen {
             let (published, gen) = shared.swap.snapshot();
             if let Some(sd) = published {
-                // schema-validated at publish time; a residual
-                // load failure keeps the previous weights serving
-                if session.load_state_dict(&sd).is_err() {
+                // schema-validated at publish time; a residual load or
+                // recalibration failure keeps the previous weights (or
+                // their BN-derived ranges) serving
+                if apply_weights(session, Some(&sd), &shared.calibration).is_err() {
                     shared.stats.lock().unwrap().reload_failures += 1;
-                } else if !shared.calibration.is_empty() {
-                    // int8: requantize the fresh weights against the
-                    // same measured ranges the replica was built with
-                    // (the load itself only sees BN-derived bounds)
-                    let n = shared.calibration.len() / se;
-                    if session.calibrate(&shared.calibration, n).is_err() {
-                        shared.stats.lock().unwrap().reload_failures += 1;
-                    }
                 }
             }
             *weight_gen = gen;

@@ -12,7 +12,7 @@
 
 use anatomy::conv::PlanCache;
 use anatomy::parallel::ThreadPool;
-use anatomy::{ConvOpts, GraphBuilder, InferenceSession, ModelSpec, TuneLevel};
+use anatomy::{ConvOpts, GraphBuilder, InferenceSession, ModelSpec, Precision, TuneLevel};
 use std::sync::Arc;
 
 fn model() -> ModelSpec {
@@ -31,6 +31,13 @@ fn model() -> ModelSpec {
         .unwrap()
 }
 
+/// An f32 session of `model()` (minibatch 2, two threads) tuned at `level`.
+fn tuned_session(spec: &ModelSpec, cache: &PlanCache, level: TuneLevel) -> InferenceSession {
+    let pool = Arc::new(ThreadPool::new(2));
+    InferenceSession::with_shared_quantized(spec, 2, pool, cache.clone(), level, Precision::F32)
+        .unwrap()
+}
+
 fn batch() -> Vec<f32> {
     let mut v = vec![0.0f32; 2 * 3 * 12 * 12];
     let mut rng = anatomy::tensor::rng::SplitMix64::new(99);
@@ -46,9 +53,7 @@ fn tuned_sessions_predict_like_the_heuristic() {
     let want = heuristic.run(&input).unwrap();
 
     for level in [TuneLevel::Model, TuneLevel::Measured] {
-        let pool = Arc::new(ThreadPool::new(2));
-        let mut tuned =
-            InferenceSession::with_shared_tuned(&spec, 2, pool, PlanCache::new(), level).unwrap();
+        let mut tuned = tuned_session(&spec, &PlanCache::new(), level);
         let got = tuned.run(&input).unwrap();
         assert_eq!(got.top1, want.top1, "{level:?} changed predictions");
         for (a, b) in got.probs.iter().zip(&want.probs) {
@@ -67,10 +72,7 @@ fn replicas_share_one_tuning_search() {
     let cache = PlanCache::new();
     // two "replicas": same model, same thread count, shared cache
     for _ in 0..2 {
-        let pool = Arc::new(ThreadPool::new(2));
-        let _ =
-            InferenceSession::with_shared_tuned(&spec, 2, pool, cache.clone(), TuneLevel::Model)
-                .unwrap();
+        let _ = tuned_session(&spec, &cache, TuneLevel::Model);
     }
     let stats = cache.stats();
     // distinct conv shapes in `model()`: c1, c2, c3 → 3 searches, once
@@ -83,9 +85,7 @@ fn replicas_share_one_tuning_search() {
 fn restart_with_tuning_file_never_micro_benches() {
     let spec = model();
     let cache = PlanCache::new();
-    let pool = Arc::new(ThreadPool::new(2));
-    let _ = InferenceSession::with_shared_tuned(&spec, 2, pool, cache.clone(), TuneLevel::Model)
-        .unwrap();
+    let _ = tuned_session(&spec, &cache, TuneLevel::Model);
     let first = cache.stats();
     assert_eq!(first.tune_runs, 3);
 
@@ -98,10 +98,7 @@ fn restart_with_tuning_file_never_micro_benches() {
     // same model — every winner replays, nothing searches or measures
     let restarted = PlanCache::new();
     assert_eq!(restarted.load_tuning(&path).unwrap(), 3);
-    let pool = Arc::new(ThreadPool::new(2));
-    let mut session =
-        InferenceSession::with_shared_tuned(&spec, 2, pool, restarted.clone(), TuneLevel::Model)
-            .unwrap();
+    let mut session = tuned_session(&spec, &restarted, TuneLevel::Model);
     let stats = restarted.stats();
     assert_eq!(stats.tune_runs, 0, "restart re-tuned");
     assert_eq!(stats.tune_micro_runs, 0, "restart micro-benched");

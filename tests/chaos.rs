@@ -76,8 +76,11 @@ fn chaos_guard() -> MutexGuard<'static, ()> {
             }
         }));
     });
+    // take the lock first: clearing while another test still holds
+    // it would disarm that test's plan mid-run
+    let guard = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::clear();
-    CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    guard
 }
 
 /// The textual plan grammar (the `ANATOMY_FAULT_PLAN` surface)

@@ -6,6 +6,7 @@
 //! batch of other live images must produce **bit-identical**
 //! probabilities.
 
+use anatomy::conv::PlanCache;
 use anatomy::gxm::Network;
 use anatomy::serve::{BatchingFrontend, ServeConfig};
 use anatomy::tensor::rng::SplitMix64;
@@ -65,7 +66,8 @@ fn trained_bn_graph_served_alone_or_coalesced_is_bit_identical() {
     let cfg = ServeConfig::new(1, 2, minibatch)
         .with_max_wait(Duration::from_millis(1))
         .with_pinning(false);
-    let frontend = BatchingFrontend::with_weights(&model, cfg, &sd).unwrap();
+    let frontend =
+        BatchingFrontend::with_cache_and_weights(&model, cfg, PlanCache::new(), Some(&sd)).unwrap();
 
     let mut images = vec![0.0f32; minibatch * SAMPLE];
     rng.fill_f32(&mut images);

@@ -8,8 +8,7 @@ use anatomy::gxm::{parse_topology, Network, NodeSpec};
 #[test]
 fn resnet50_graph_builds_and_trains() {
     // the real ResNet-50 graph (all 53 convs) at reduced resolution
-    let text = anatomy::topologies::resnet50_topology(32, 10);
-    let nl = parse_topology(&text).unwrap();
+    let nl = anatomy::topologies::resnet50_model(32, 10);
     let mut net = Network::build(&nl, 2, 4).unwrap();
     // ~23.5M conv/fc parameters (the ResNet-50 count)
     assert!(net.param_count() > 20_000_000, "{}", net.param_count());
@@ -25,8 +24,7 @@ fn resnet50_graph_builds_and_trains() {
 
 #[test]
 fn inception_block_trains_through_concat() {
-    let text = anatomy::topologies::inception_v3_topology(10);
-    let nl = parse_topology(&text).unwrap();
+    let nl = anatomy::topologies::inception_v3_model(10);
     // graph contains split + concat machinery
     let mut net = Network::build(&nl, 2, 4).unwrap();
     assert!(net.etg().eng.nodes.iter().any(|n| matches!(n, NodeSpec::Split { .. })));

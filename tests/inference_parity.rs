@@ -14,13 +14,21 @@
 //! * the `InferenceSession` facade serves batches end to end.
 
 use anatomy::conv::PlanCache;
-use anatomy::gxm::{parse_topology, ExecMode, Network, NodeSpec};
+use anatomy::gxm::{ExecMode, Network, NodeSpec};
 use anatomy::parallel::ThreadPool;
 use anatomy::tensor::rng::SplitMix64;
 use anatomy::tensor::ConvShape;
-use anatomy::InferenceSession;
+use anatomy::{InferenceSession, ModelSpec, Precision, TuneLevel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// Minibatch-2 inference network with the BN fusion pass off — the
+/// unfused reference executor.
+fn unfused_net(spec: &ModelSpec, pool: &Arc<ThreadPool>, cache: &PlanCache) -> Network {
+    let (mode, tune) = (ExecMode::Inference, TuneLevel::Heuristic);
+    Network::build_quantized(spec, 2, Arc::clone(pool), mode, cache, false, tune, Precision::F32)
+        .unwrap()
+}
 
 /// Count the distinct normalized conv layers of a topology the same
 /// way a cache key sees them — (ConvShape, input blob padding) — but
@@ -85,8 +93,7 @@ fn distinct_conv_layers(nl: &[NodeSpec], minibatch: usize) -> usize {
 
 #[test]
 fn resnet50_builds_once_per_distinct_shape_and_folds_every_bn() {
-    let text = anatomy::topologies::resnet50_topology(32, 10);
-    let nl = parse_topology(&text).unwrap();
+    let nl = anatomy::topologies::resnet50_model(32, 10);
     let convs = nl.nodes().iter().filter(|n| matches!(n, NodeSpec::Conv { .. })).count();
     assert_eq!(convs, 53, "the full ResNet-50 graph");
     let distinct = distinct_conv_layers(nl.nodes(), 2);
@@ -148,9 +155,7 @@ fn resnet50_builds_once_per_distinct_shape_and_folds_every_bn() {
         train.forward();
     }
     let sd = train.state_dict();
-    let mut reference =
-        Network::build_with_fold(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-            .unwrap();
+    let mut reference = unfused_net(&nl, &pool, &cache);
     assert_eq!(reference.folded_bn_count(), 0, "the reference executor keeps BNs standalone");
     infer.load_state_dict(&sd).unwrap();
     reference.load_state_dict(&sd).unwrap();
@@ -167,8 +172,7 @@ fn resnet50_builds_once_per_distinct_shape_and_folds_every_bn() {
 
 #[test]
 fn inception_fused_inference_tracks_unfused_frozen_reference() {
-    let text = anatomy::topologies::inception_v3_topology_sized(63, 10);
-    let nl = parse_topology(&text).unwrap();
+    let nl = anatomy::topologies::inception_v3_model_sized(63, 10);
     let cache = PlanCache::new();
     let pool = Arc::new(ThreadPool::new(4));
     let mut train =
@@ -176,9 +180,7 @@ fn inception_fused_inference_tracks_unfused_frozen_reference() {
     let mut infer =
         Network::build_with(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache).unwrap();
     let misses_after_infer = cache.misses();
-    let mut reference =
-        Network::build_with_fold(&nl, 2, Arc::clone(&pool), ExecMode::Inference, &cache, false)
-            .unwrap();
+    let mut reference = unfused_net(&nl, &pool, &cache);
     // unfused inference reuses the training plans: no new JIT
     assert_eq!(cache.misses(), misses_after_infer, "unfused build must JIT nothing new");
     assert_eq!(infer.gradient_blob_count(), 0);
@@ -213,7 +215,7 @@ fn inception_fused_inference_tracks_unfused_frozen_reference() {
 
 #[test]
 fn inference_session_serves_batches() {
-    let topo = anatomy::topologies::resnet50_topology(32, 10);
+    let topo = anatomy::topologies::resnet50_model(32, 10);
     let mut session = InferenceSession::new(&topo, 2, 2).expect("valid topology");
     assert_eq!(session.classes(), 10);
     assert_eq!(session.network().training_state_bytes(), 0);

@@ -6,6 +6,7 @@
 //! documents: an int8 single-image submit is bit-identical to the
 //! same sample inside a full batch.
 
+use anatomy::conv::PlanCache;
 use anatomy::gxm::{parse_topology, ExecMode, ModelSpec, Network};
 use anatomy::serve::{BatchingFrontend, ServeConfig};
 use anatomy::tensor::rng::SplitMix64;
@@ -41,7 +42,7 @@ fn spec() -> ModelSpec {
 /// plus a held-out evaluation batch.
 fn train() -> (StateDict, Vec<f32>) {
     let pool = Arc::new(anatomy::parallel::ThreadPool::new(2));
-    let cache = anatomy::conv::PlanCache::new();
+    let cache = PlanCache::new();
     let nl = spec();
     let mut net = Network::build_with(&nl, MB, pool, ExecMode::Training, &cache).unwrap();
     let mut rng = SplitMix64::new(97);
@@ -65,7 +66,7 @@ fn frontend(sd: &StateDict, precision: Precision, calib: &[f32]) -> BatchingFron
     if precision == Precision::Int8 {
         cfg = cfg.with_calibration(calib.to_vec());
     }
-    BatchingFrontend::with_weights(spec(), cfg, sd).unwrap()
+    BatchingFrontend::with_cache_and_weights(spec(), cfg, PlanCache::new(), Some(sd)).unwrap()
 }
 
 #[test]
@@ -106,7 +107,7 @@ fn int8_single_image_is_bit_identical_to_its_batch_slot() {
     // dimension is the outermost loop of every kernel and per-channel
     // quantization is per-sample, so results must match bit for bit
     let pool = Arc::new(anatomy::parallel::ThreadPool::new(2));
-    let cache = anatomy::conv::PlanCache::new();
+    let cache = PlanCache::new();
     let mut session = InferenceSession::with_shared_quantized(
         spec(),
         MB,
