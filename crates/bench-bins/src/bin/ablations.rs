@@ -1,7 +1,7 @@
 //! Ablation study over the paper's individual optimizations, on two
 //! representative ResNet-50 layers (a 3×3 and a deep 1×1):
 //!
-//! * JIT vs monomorphized-intrinsics vs scalar backends,
+//! * JIT vs scalar-oracle backends,
 //! * software prefetch on/off (Section II-E),
 //! * kernel streams replay vs runtime branchy loops (Section II-H),
 //! * fused vs unfused post-ops (Section II-G),
@@ -31,7 +31,7 @@ fn main() {
         let w = BlockedFilter::random(shape.k, shape.c, shape.r, shape.s, 2);
 
         // backends
-        for backend in [Backend::Auto, Backend::Intrinsics, Backend::Scalar] {
+        for backend in [Backend::Auto, Backend::Scalar] {
             let iters = if backend == Backend::Scalar { 1 } else { cfg.iters };
             let layer = ConvLayer::new(shape, LayerOptions::new(cfg.threads).with_backend(backend));
             let mut y = layer.new_output();

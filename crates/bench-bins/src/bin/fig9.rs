@@ -11,11 +11,10 @@
 //! `--hw N` sets the input resolution (default 64 for CI-speed runs;
 //! use `--hw 224 --full` for the paper geometry).
 
+use bench_bins::multinode::{simulate_strong_scaling, Fabric};
 use bench_bins::HarnessConfig;
 use gxm::data::SyntheticData;
-use gxm::multinode::simulate_strong_scaling;
 use gxm::Network;
-use machine::Fabric;
 use std::time::Instant;
 
 fn main() {

@@ -6,6 +6,8 @@
 //! for the paper's SKX/KNM testbeds next to them so the paper's shapes
 //! can be compared directly (EXPERIMENTS.md records both).
 
+pub mod multinode;
+
 use machine::MachineModel;
 use parallel::ThreadPool;
 use std::time::Instant;
@@ -79,7 +81,7 @@ pub fn calibrate_host(pool: &ThreadPool) -> MachineModel {
         m.cores,
         m.peak_gflops(),
         m.mem_bw_gbs,
-        if jit::jit_available() { ", JIT kernels" } else { ", intrinsics kernels" }
+        if jit::jit_available() { ", JIT kernels" } else { ", scalar kernels" }
     );
     m
 }

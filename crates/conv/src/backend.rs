@@ -1,12 +1,16 @@
-//! Unified kernel handles over the JIT and intrinsics backends.
+//! Unified kernel handles over the JIT and the scalar oracle.
 //!
-//! Engines never call a backend directly: they hold [`Kernel`] handles
-//! constructed at layer setup — one generic handle over the three
-//! kernel [`Flavor`]s ([`FwdKernel`] / [`UpdKernel`] / [`QuantKernel`]).
-//! `Backend::Auto` prefers real runtime code generation (the paper's
-//! mechanism) and falls back to the monomorphized intrinsics family,
-//! then scalar — so the same engine runs anywhere while using the
-//! fastest available implementation.
+//! Engines never call a kernel family directly: they hold [`Kernel`]
+//! handles constructed at layer setup — one generic handle over the
+//! three kernel [`Flavor`]s ([`FwdKernel`] / [`UpdKernel`] /
+//! [`QuantKernel`]). `Backend::Auto` is runtime code generation (the
+//! paper's mechanism) wherever this host can run the flavour's code,
+//! and the scalar oracle everywhere else — so the same engine runs
+//! anywhere, and every vector convolution instruction it executes
+//! comes from a byte stream `kver` can verify. The oracle repeats the
+//! generated code's arithmetic in the same order: int32 results are
+//! bit-identical across hosts, f32 ones agree to fused-vs-separate
+//! multiply-add rounding.
 //!
 //! Handles are `Arc`-backed: cloning one shares the generated code
 //! buffer instead of re-JITting (the cuDNN-style "handle to a compiled
@@ -24,13 +28,10 @@ use std::sync::{Arc, LazyLock, Mutex};
 /// Kernel backend selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// JIT when available, else intrinsics, else scalar.
+    /// Runtime code generation when this host can run it, else the
+    /// scalar kernels.
     #[default]
     Auto,
-    /// Force runtime code generation (panics if unavailable).
-    Jit,
-    /// Force the monomorphized intrinsics family.
-    Intrinsics,
     /// Force the scalar kernels (correctness baseline).
     Scalar,
 }
@@ -40,7 +41,7 @@ pub enum Backend {
 pub struct KernelCacheStats {
     /// Handles served by cloning an existing entry.
     pub hits: usize,
-    /// Handles that required generation (JIT/select).
+    /// Handles that required generation.
     pub misses: usize,
 }
 
@@ -57,9 +58,9 @@ impl KernelCacheStats {
 }
 
 /// One process-wide code cache for every flavour, keyed uniformly by
-/// `(kver class + descriptor, resolved backend)`; entries are the
+/// `(kver class + descriptor, resolved to the JIT?)`; entries are the
 /// flavour's `Arc<Imp<F>>` behind `dyn Any`.
-type CodeCache = Mutex<HashMap<(kver::KernelSpec, Backend), Arc<dyn Any + Send + Sync>>>;
+type CodeCache = Mutex<HashMap<(kver::KernelSpec, bool), Arc<dyn Any + Send + Sync>>>;
 static CODE_CACHE: LazyLock<CodeCache> = LazyLock::new(Default::default);
 static CACHE_HITS: AtomicUsize = AtomicUsize::new(0);
 static CACHE_MISSES: AtomicUsize = AtomicUsize::new(0);
@@ -91,8 +92,8 @@ pub type JitFn<F> = unsafe extern "C" fn(
     *const <F as Flavor>::Acc,
 );
 
-/// Signature of a flavour's intrinsics and scalar kernels: the JIT ABI
-/// behind the descriptor.
+/// Signature of a flavour's scalar kernel: the JIT ABI behind the
+/// descriptor.
 pub type PortableFn<F> = unsafe fn(
     &<F as Flavor>::Shape,
     *const <F as Flavor>::In,
@@ -127,8 +128,6 @@ pub trait Flavor: Sized + 'static {
     fn jit_available() -> bool;
     /// Emit machine code for `shape`.
     fn assemble(shape: &Self::Shape) -> Vec<u8>;
-    /// Select the monomorphized intrinsics kernel for `shape`.
-    fn select(shape: &Self::Shape) -> PortableFn<Self>;
 }
 
 /// f32 forward/backward flavour (`vfmadd231ps`).
@@ -157,9 +156,6 @@ impl Flavor for F32Fwd {
     fn assemble(shape: &KernelShape) -> Vec<u8> {
         jit::assemble_fwd(shape)
     }
-    fn select(shape: &KernelShape) -> PortableFn<Self> {
-        microkernel::select_fwd(shape)
-    }
 }
 
 impl Flavor for F32Upd {
@@ -179,9 +175,6 @@ impl Flavor for F32Upd {
     }
     fn assemble(shape: &UpdShape) -> Vec<u8> {
         jit::assemble_upd(shape)
-    }
-    fn select(shape: &UpdShape) -> PortableFn<Self> {
-        microkernel::select_upd(shape)
     }
 }
 
@@ -203,9 +196,6 @@ impl Flavor for I16Fwd {
     fn assemble(shape: &KernelShape) -> Vec<u8> {
         jit::assemble_quant(shape)
     }
-    fn select(shape: &KernelShape) -> PortableFn<Self> {
-        microkernel::select_quant(shape)
-    }
 }
 
 enum Imp<F: Flavor> {
@@ -214,7 +204,6 @@ enum Imp<F: Flavor> {
         buf: CodeBuffer,
         f: JitFn<F>,
     },
-    Portable(PortableFn<F>),
     Scalar,
 }
 
@@ -238,45 +227,35 @@ impl<F: Flavor> Clone for Kernel<F> {
     }
 }
 
-/// `Auto` is JIT when the flavour can run it here, else intrinsics.
-fn resolve<F: Flavor>(backend: Backend) -> Backend {
-    match backend {
-        Backend::Auto if F::jit_available() => Backend::Jit,
-        Backend::Auto => Backend::Intrinsics,
-        other => other,
-    }
+/// Whether `backend` means generated code here: `Auto` is the
+/// flavour's JIT if this host can run it, else the scalar oracle.
+fn resolves_to_jit<F: Flavor>(backend: Backend) -> bool {
+    backend == Backend::Auto && F::jit_available()
 }
 
 impl<F: Flavor> Kernel<F> {
-    /// Generate/select a kernel for `shape` on `backend`.
+    /// Generate a kernel for `shape` on `backend`.
     pub fn new(shape: F::Shape, backend: Backend) -> Self {
         F::validate(&shape);
-        let imp = match resolve::<F>(backend) {
-            Backend::Jit => {
-                assert!(
-                    F::jit_available(),
-                    "JIT backend unavailable for this flavour on this host"
-                );
-                let buf = CodeBuffer::from_kernel(&F::assemble(&shape), &F::spec(&shape))
-                    .expect("verified executable JIT kernel");
-                // SAFETY: the buffer holds a kernel emitted by the
-                // flavour's own assembler, which follows the JitFn ABI.
-                let f = unsafe { std::mem::transmute::<*const u8, JitFn<F>>(buf.as_ptr()) };
-                Imp::Jit { buf, f }
-            }
-            Backend::Intrinsics => Imp::Portable(F::select(&shape)),
-            Backend::Scalar => Imp::Scalar,
-            Backend::Auto => unreachable!(),
+        let imp = if resolves_to_jit::<F>(backend) {
+            let buf = CodeBuffer::from_kernel(&F::assemble(&shape), &F::spec(&shape))
+                .expect("verified executable JIT kernel");
+            // SAFETY: the buffer holds a kernel emitted by the
+            // flavour's own assembler, which follows the JitFn ABI.
+            let f = unsafe { std::mem::transmute::<*const u8, JitFn<F>>(buf.as_ptr()) };
+            Imp::Jit { buf, f }
+        } else {
+            Imp::Scalar
         };
         Self { shape, imp: Arc::new(imp) }
     }
 
     /// As [`Kernel::new`] but consulting the process-wide code cache:
-    /// identical `(descriptor, resolved backend)` requests share one
+    /// identical `(descriptor, resolved family)` requests share one
     /// generated kernel. Plans use this path so repeated layer shapes
     /// JIT once per process.
     pub fn cached(shape: F::Shape, backend: Backend) -> Self {
-        let key = (F::spec(&shape), resolve::<F>(backend));
+        let key = (F::spec(&shape), resolves_to_jit::<F>(backend));
         let mut map = CODE_CACHE.lock().unwrap();
         if let Some(imp) = map.get(&key) {
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -284,7 +263,7 @@ impl<F: Flavor> Kernel<F> {
             return Self { shape, imp };
         }
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let k = Self::new(shape, key.1);
+        let k = Self::new(shape, backend);
         map.insert(key, k.imp.clone());
         k
     }
@@ -295,11 +274,10 @@ impl<F: Flavor> Kernel<F> {
         &self.shape
     }
 
-    /// Which backend the handle resolved to.
+    /// Which kernel family the handle resolved to.
     pub fn backend_name(&self) -> &'static str {
         match *self.imp {
             Imp::Jit { .. } => "jit",
-            Imp::Portable(_) => "intrinsics",
             Imp::Scalar => "scalar",
         }
     }
@@ -322,7 +300,6 @@ impl<F: Flavor> Kernel<F> {
     ) {
         match &*self.imp {
             Imp::Jit { f, .. } => f(inp, wt, out, pf_in, pf_wt, pf_out),
-            Imp::Portable(f) => f(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out),
             Imp::Scalar => (F::SCALAR)(&self.shape, inp, wt, out, pf_in, pf_wt, pf_out),
         }
     }
@@ -358,8 +335,8 @@ mod tests {
         let mut sh = shape();
         sh.rbq = 7;
         let before = kernel_cache_stats();
-        let a = FwdKernel::cached(sh, Backend::Intrinsics);
-        let b = FwdKernel::cached(sh, Backend::Intrinsics);
+        let a = FwdKernel::cached(sh, Backend::Auto);
+        let b = FwdKernel::cached(sh, Backend::Auto);
         let after = kernel_cache_stats();
         assert!(Arc::ptr_eq(&a.imp, &b.imp), "cache must hand out the same impl");
         assert!(after.hits > before.hits, "second lookup must hit");
@@ -381,12 +358,12 @@ mod tests {
         if jit::jit_available() {
             assert_eq!(k.backend_name(), "jit");
         } else {
-            assert_eq!(k.backend_name(), "intrinsics");
+            assert_eq!(k.backend_name(), "scalar");
         }
     }
 
-    /// One invocation of `sh` per backend (scalar, intrinsics, and JIT
-    /// when this host can run the flavour's code) on the same operands.
+    /// One invocation of `sh` per backend (scalar, and JIT when this
+    /// host can run the flavour's code) on the same operands.
     fn outputs<F: Flavor>(
         sh: F::Shape,
         ext: microkernel::Extents,
@@ -395,9 +372,9 @@ mod tests {
     ) -> Vec<Vec<F::Acc>> {
         let inp: Vec<F::In> = (0..ext.input).map(|i| gen(i % 13)).collect();
         let wt: Vec<F::In> = (0..ext.weights).map(|i| gen(i % 7 + 3)).collect();
-        let mut backends = vec![Backend::Scalar, Backend::Intrinsics];
+        let mut backends = vec![Backend::Scalar];
         if F::jit_available() {
-            backends.push(Backend::Jit);
+            backends.push(Backend::Auto);
         }
         backends
             .into_iter()

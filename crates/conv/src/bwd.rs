@@ -145,6 +145,12 @@ impl BwdPlan {
         self.kind
     }
 
+    /// Which backend the dual plan's kernels resolved to; `None` on
+    /// the Algorithm 7 fallback, which generates none.
+    pub(crate) fn backend_name(&self) -> Option<&'static str> {
+        self.dual.as_ref().map(|d| d.backend_name())
+    }
+
     /// Physical padding the dual path needs on the dO tensor (callers
     /// allocating gradient buffers with this padding avoid a copy).
     pub fn dout_pad(&self) -> usize {

@@ -175,7 +175,7 @@ impl PlanCacheStats {
 
 /// One-call health snapshot of *both* cache tiers the serving path
 /// relies on: this plan cache (whole-layer plans) and the process-wide
-/// kernel code cache below it (individual JIT/select'd code buffers,
+/// kernel code cache below it (individual generated code buffers,
 /// shared across different layer shapes).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CombinedCacheStats {

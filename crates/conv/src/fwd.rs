@@ -523,10 +523,7 @@ mod tests {
     fn backends_agree_on_full_layer() {
         let s = ConvShape::new(2, 32, 32, 14, 14, 3, 3, 1, 1);
         run_case(s, FusedOp::None, Backend::Scalar, 2);
-        run_case(s, FusedOp::None, Backend::Intrinsics, 2);
-        if jit::jit_available() {
-            run_case(s, FusedOp::None, Backend::Jit, 2);
-        }
+        run_case(s, FusedOp::None, Backend::Auto, 2);
     }
 
     #[test]
@@ -639,7 +636,7 @@ mod tests {
     fn stream_metadata_is_compact() {
         let shape = ConvShape::new(4, 64, 64, 28, 28, 3, 3, 1, 1);
         let b = blocking::choose(&shape);
-        let opts = LayerOptions::new(8).with_backend(Backend::Intrinsics).with_fuse(FusedOp::Relu);
+        let opts = LayerOptions::new(8).with_backend(Backend::Scalar).with_fuse(FusedOp::Relu);
         let plan = FwdPlan::new(&PlanRequest::new(shape, b, &opts));
         // 4·4·(28/rbp·28/28)·Cb convs; metadata ≈ 13B per conv
         let convs: usize = (0..8).map(|_| 0).len(); // silence clippy

@@ -293,6 +293,18 @@ impl ConvLayer {
         self.fwd.backend_name()
     }
 
+    /// Kernel backend of every plan of this layer that runs generated
+    /// kernels, as `(plan, backend)`: `fwd`, `bwd` (absent on the
+    /// Algorithm 7 fallback), `upd`, and `q8` (layers built at
+    /// `Precision::Int8`).
+    pub fn kernel_backends(&self) -> Vec<(&'static str, &'static str)> {
+        let mut out = vec![("fwd", self.fwd.backend_name())];
+        out.extend(self.bwd.backend_name().map(|b| ("bwd", b)));
+        out.push(("upd", self.upd.backend_name()));
+        out.extend(self.quant.as_ref().map(|q| ("q8", q.backend_name())));
+        out
+    }
+
     /// Physical padding expected on gradient-output tensors (the
     /// duality-optimal value unless overridden in the options).
     pub fn dout_pad(&self) -> usize {
@@ -452,7 +464,7 @@ mod tests {
         let layer = ConvLayer::new(shape, LayerOptions::new(2));
         assert_eq!(layer.bwd_kind(), BwdKind::DualStride1);
         assert!(layer.upd_copies() >= 1);
-        assert!(["jit", "intrinsics", "scalar"].contains(&layer.backend_name()));
+        assert!(["jit", "scalar"].contains(&layer.backend_name()));
         assert_eq!(layer.dout_pad(), 0);
     }
 

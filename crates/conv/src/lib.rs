@@ -4,8 +4,8 @@
 //! and then executed many times (the "replay" phase):
 //!
 //! * **setup** picks register/cache blocking ([`blocking`]), generates
-//!   the microkernel variants (JIT machine code when available,
-//!   monomorphized intrinsics otherwise — [`backend`]), runs the
+//!   the microkernel variants (JIT machine code when this host can run
+//!   it, the scalar oracle otherwise — [`backend`]), runs the
 //!   *dryrun* that records each thread's exact sequence of kernel
 //!   invocations as offset streams with RLE-encoded segments
 //!   ([`streams`], Section II-H), and chooses the weight-update

@@ -157,6 +157,11 @@ impl UpdPlan {
         self.copies
     }
 
+    /// Which backend the first kernel resolved to.
+    pub(crate) fn backend_name(&self) -> &'static str {
+        self.kernels[0].backend_name()
+    }
+
     /// Execute: `dweights = conv_upd(input, dout)` (overwrites).
     pub fn run(
         &self,

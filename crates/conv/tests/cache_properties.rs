@@ -13,17 +13,7 @@ use tensor::rng::SplitMix64;
 use tensor::{BlockedActs, BlockedFilter, ConvShape, VLEN};
 
 fn backend_of(idx: usize) -> Backend {
-    match idx {
-        0 => Backend::Scalar,
-        1 => Backend::Intrinsics,
-        _ => {
-            if jit::jit_available() {
-                Backend::Jit
-            } else {
-                Backend::Intrinsics
-            }
-        }
-    }
+    [Backend::Scalar, Backend::Auto][idx]
 }
 
 fn fuse_of(idx: usize) -> FusedOp {
@@ -49,7 +39,7 @@ proptest! {
         hw in 4usize..10,
         spatial in any::<bool>(),
         stride in 1usize..3,
-        backend_idx in 0usize..3,
+        backend_idx in 0usize..2,
         fuse_idx in 0usize..7,
         threads in 1usize..5,
         seed in 0u64..10_000,

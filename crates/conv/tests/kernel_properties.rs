@@ -1,8 +1,12 @@
 //! Property-based tests: the dispatched (vector) kernels agree with
 //! the scalar kernels over randomized shapes, strides and data — the
 //! statistical version of the paper artifact's per-kernel validation.
+//! "Dispatched" is what `Backend::Auto` resolves to: the JIT where
+//! this host can run it.
 
-use microkernel::{select_fwd, select_upd, KernelShape, UpdShape};
+use conv::backend::{F32Fwd, F32Upd, Kernel};
+use conv::Backend;
+use microkernel::{KernelShape, UpdShape};
 use proptest::prelude::*;
 use tensor::rng::SplitMix64;
 use tensor::{Norms, VLEN};
@@ -63,8 +67,8 @@ proptest! {
                 &sh, inp.as_ptr(), wt.as_ptr(), a.as_mut_ptr(),
                 std::ptr::null(), std::ptr::null(), std::ptr::null(),
             );
-            select_fwd(&sh)(
-                &sh, inp.as_ptr(), wt.as_ptr(), b.as_mut_ptr(),
+            Kernel::<F32Fwd>::new(sh, Backend::Auto).call(
+                inp.as_ptr(), wt.as_ptr(), b.as_mut_ptr(),
                 std::ptr::null(), std::ptr::null(), std::ptr::null(),
             );
         }
@@ -104,8 +108,8 @@ proptest! {
                 &sh, inp.as_ptr(), dout.as_ptr(), a.as_mut_ptr(),
                 std::ptr::null(), std::ptr::null(), std::ptr::null(),
             );
-            select_upd(&sh)(
-                &sh, inp.as_ptr(), dout.as_ptr(), b.as_mut_ptr(),
+            Kernel::<F32Upd>::new(sh, Backend::Auto).call(
+                inp.as_ptr(), dout.as_ptr(), b.as_mut_ptr(),
                 std::ptr::null(), std::ptr::null(), std::ptr::null(),
             );
         }

@@ -8,10 +8,6 @@
 //! on top of the `conv` crate's engines plus the non-convolution
 //! operators in [`ops`].
 //!
-//! Multi-node training (Fig. 9) is modelled in [`multinode`]: data
-//! parallelism with the gradient allreduce overlapped behind backward
-//! compute, standing in for Intel MLSL over Omnipath (see DESIGN.md).
-//!
 //! The public model surface is typed (DESIGN.md §8): a [`ModelSpec`]
 //! — built by the fluent [`GraphBuilder`] or parsed from topology
 //! text via [`ModelSpec::parse`] — is a *validated* graph, every
@@ -29,7 +25,6 @@ pub mod builder;
 pub mod data;
 pub mod error;
 pub mod model;
-pub mod multinode;
 pub mod net;
 pub mod ops;
 pub mod parser;

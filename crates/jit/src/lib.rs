@@ -26,8 +26,8 @@
 //! replay ABI of Algorithm 5.
 //!
 //! On hosts without AVX-512 (or sandboxes denying executable mappings,
-//! see [`jit_available`]) engines fall back to the monomorphized
-//! intrinsics kernels in the `microkernel` crate.
+//! see [`jit_available`]) engines fall back to the scalar oracle
+//! kernels in the `microkernel` crate.
 
 pub mod buffer;
 pub mod emit;

@@ -15,18 +15,14 @@
 //! * [`predict`] — per-layer/per-pass efficiency predictions combining
 //!   the above with the pass-specific overheads of Sections II-I/II-J,
 //! * [`host`] — calibration of the machine we actually run on
-//!   (measured FMA peak and stream bandwidth),
-//! * [`fabric`] — the α–β interconnect model standing in for
-//!   Omnipath/MLSL in the multi-node experiments (Fig. 9).
+//!   (measured FMA peak and stream bandwidth).
 
-pub mod fabric;
 pub mod host;
 pub mod model;
 pub mod predict;
 pub mod roofline;
 pub mod traffic;
 
-pub use fabric::Fabric;
 pub use model::MachineModel;
 pub use predict::{predicted_efficiency, predicted_int16_speedup, Pass};
 pub use roofline::attainable_gflops_core;

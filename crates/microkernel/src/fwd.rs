@@ -1,51 +1,20 @@
-//! Forward-propagation microkernel (Section II-D).
+//! Forward-propagation microkernel (Section II-D): the scalar oracle.
 //!
 //! The kernel body follows the paper's recipe exactly: load one vector
 //! of weights (`VLEN` output channels for one input channel), then
 //! broadcast `RBQ × RBP` input pixels against it with FMAs, keeping the
-//! whole output tile in accumulator registers; output loads/stores are
+//! whole output tile in an accumulator tile; output loads/stores are
 //! hoisted outside the `R,S` (and optionally `Cb`) reduction loops.
-//!
-//! Specialization over the register-blocking factors happens through
-//! const generics: `fwd_avx512::<RBP, RBQ>` compiles to the same
-//! straight-line FMA block the JIT emits. [`select_fwd`] is the
-//! dispatch table — the monomorphized analogue of kernel generation.
+//! The `jit` crate emits the same loop nest as straight-line AVX-512
+//! code; [`fwd_scalar`] is what every such kernel is tested against,
+//! and what runs on hosts that cannot execute generated code.
 
 use crate::shape::KernelShape;
 use tensor::VLEN;
 
-/// The microkernel ABI (shared with the JIT backend): three compute
-/// pointers and three prefetch pointers (Section II-E).
-pub type FwdFn = unsafe fn(
-    sh: &KernelShape,
-    inp: *const f32,
-    wt: *const f32,
-    out: *mut f32,
-    pf_in: *const f32,
-    pf_wt: *const f32,
-    pf_out: *const f32,
-);
-
-/// Select the best available kernel instance for `sh`.
-///
-/// Preference order: AVX-512 monomorphized instance (when the host has
-/// AVX-512 and the blocking factors are in the compiled family), then
-/// the portable scalar kernel.
-pub fn select_fwd(sh: &KernelShape) -> FwdFn {
-    sh.validate();
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            if let Some(k) = lookup_avx512(sh.rbp, sh.rbq) {
-                return k;
-            }
-        }
-    }
-    fwd_scalar
-}
-
-/// Portable scalar kernel: correct for every shape; the fallback when
-/// no vector instance exists.
+/// Portable scalar kernel: correct for every shape, with the
+/// six-pointer ABI of Section II-E (three compute pointers, three
+/// prefetch pointers — ignored here) behind the descriptor.
 ///
 /// # Safety
 /// `inp`, `wt` and `out` must point to buffers that stay in bounds for
@@ -62,7 +31,6 @@ pub unsafe fn fwd_scalar(
 ) {
     // accumulate in a stack tile to mirror the register blocking
     let mut acc = [[0.0f32; VLEN]; 28];
-    let tiles = sh.rbp * sh.rbq;
     if !sh.init_zero {
         for p in 0..sh.rbp {
             for q in 0..sh.rbq {
@@ -92,7 +60,6 @@ pub unsafe fn fwd_scalar(
             }
         }
     }
-    let _ = tiles;
     for p in 0..sh.rbp {
         for q in 0..sh.rbq {
             let o = out.add(sh.out_off(p, q));
@@ -101,100 +68,6 @@ pub unsafe fn fwd_scalar(
             }
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn fwd_avx512<const RBP: usize, const RBQ: usize>(
-    sh: &KernelShape,
-    inp: *const f32,
-    wt: *const f32,
-    out: *mut f32,
-    pf_in: *const f32,
-    pf_wt: *const f32,
-    pf_out: *const f32,
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!((sh.rbp, sh.rbq), (RBP, RBQ));
-
-    let mut acc = [[_mm512_setzero_ps(); RBQ]; RBP];
-    if !sh.init_zero {
-        for p in 0..RBP {
-            for q in 0..RBQ {
-                acc[p][q] = _mm512_loadu_ps(out.add(sh.out_off(p, q)));
-            }
-        }
-    }
-
-    // Two-level prefetch (Section II-E): L2 prefetches for the next
-    // invocation's input rows and weight panel, L1 prefetches for its
-    // output tile. All pointers describe *future* sub-tensors; issuing
-    // them up front overlaps the misses with this invocation's FMAs.
-    if sh.prefetch && !pf_in.is_null() {
-        let in_rows = (RBP - 1) * sh.stride + sh.r;
-        for row in 0..in_rows {
-            _mm_prefetch::<_MM_HINT_T1>(pf_in.add(row * sh.in_row_stride) as *const i8);
-        }
-        let wt_lines = (sh.r * sh.s * VLEN * VLEN / 16).min(16);
-        for l in 0..wt_lines {
-            _mm_prefetch::<_MM_HINT_T1>(pf_wt.add(l * 16) as *const i8);
-        }
-        for p in 0..RBP {
-            _mm_prefetch::<_MM_HINT_T0>(pf_out.add(sh.out_off(p, 0)) as *const i8);
-        }
-    }
-
-    for cb in 0..sh.cb_inner {
-        for r in 0..sh.r {
-            for s in 0..sh.s {
-                let wbase = wt.add(sh.wt_off(cb, r, s));
-                for c in 0..VLEN {
-                    let w = _mm512_loadu_ps(wbase.add(c * VLEN));
-                    for p in 0..RBP {
-                        let ibase = inp.add(sh.in_off(cb, r, s, p, 0) + c);
-                        for q in 0..RBQ {
-                            let b = _mm512_set1_ps(*ibase.add(q * sh.stride * VLEN));
-                            acc[p][q] = _mm512_fmadd_ps(b, w, acc[p][q]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    for p in 0..RBP {
-        for q in 0..RBQ {
-            _mm512_storeu_ps(out.add(sh.out_off(p, q)), acc[p][q]);
-        }
-    }
-}
-
-/// Dispatch table over the compiled (RBP, RBQ) family. The family
-/// covers the blockings any sane engine chooses: wide single rows
-/// (RBQ ≤ 28), double rows up to 14 wide, and tall-narrow variants for
-/// 7-pixel layers.
-#[cfg(target_arch = "x86_64")]
-fn lookup_avx512(rbp: usize, rbq: usize) -> Option<FwdFn> {
-    macro_rules! table {
-        ($(($p:literal, $q:literal)),+ $(,)?) => {
-            match (rbp, rbq) {
-                $( ($p, $q) => Some(fwd_avx512::<$p, $q> as FwdFn), )+
-                _ => None,
-            }
-        };
-    }
-    // keep one row per RBP group so gaps in the family are visible
-    #[rustfmt::skip]
-    let f = table!(
-        (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10),
-        (1, 11), (1, 12), (1, 13), (1, 14), (1, 15), (1, 16), (1, 17), (1, 18), (1, 19),
-        (1, 20), (1, 21), (1, 22), (1, 23), (1, 24), (1, 25), (1, 26), (1, 27), (1, 28),
-        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10),
-        (2, 11), (2, 12), (2, 13), (2, 14),
-        (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 7),
-        (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (4, 7),
-    );
-    f
 }
 
 #[cfg(test)]
@@ -260,24 +133,6 @@ mod tests {
         };
         let n = tensor::Norms::compare(&expect, &out_s);
         assert!(n.ok(1e-5), "scalar {sh:?}: {n}");
-
-        // dispatched kernel (AVX-512 when available)
-        let mut out_v = out0.clone();
-        let k = select_fwd(sh);
-        // SAFETY: same buffers as the scalar call above.
-        unsafe {
-            k(
-                sh,
-                inp.as_ptr(),
-                wt.as_ptr(),
-                out_v.as_mut_ptr(),
-                inp.as_ptr(),
-                wt.as_ptr(),
-                out_v.as_mut_ptr(),
-            )
-        };
-        let n = tensor::Norms::compare(&expect, &out_v);
-        assert!(n.ok(1e-5), "dispatched {sh:?}: {n}");
     }
 
     fn base(rbp: usize, rbq: usize, r: usize, s: usize, stride: usize, cbi: usize) -> KernelShape {
@@ -336,17 +191,5 @@ mod tests {
         let mut sh = base(2, 14, 3, 3, 1, 1);
         sh.prefetch = true;
         check(&sh);
-    }
-
-    #[test]
-    fn dispatch_prefers_vector_kernel() {
-        if crate::has_avx512() {
-            let sh = base(1, 14, 3, 3, 1, 1);
-            let f = select_fwd(&sh);
-            assert!(
-                !std::ptr::fn_addr_eq(f, fwd_scalar as FwdFn),
-                "should not fall back to scalar"
-            );
-        }
     }
 }

@@ -1,25 +1,25 @@
-//! Portable convolution microkernel family.
+//! Microkernel descriptors and the scalar oracle kernels.
 //!
-//! This crate is the *intrinsics* implementation of the microkernels of
-//! Section II-D: where the paper (and our `jit` crate) generates x86
-//! machine code at runtime, this crate reaches the same specialization
-//! through monomorphization — a family of kernels is compiled ahead of
-//! time over const-generic register-blocking factors, and "generation"
-//! selects the right instance from a dispatch table at layer-setup
-//! time. The two backends share:
+//! The paper generates its microkernels at runtime (Section II-D); the
+//! `jit` crate does that here. This crate holds what the generator and
+//! everything around it share:
 //!
 //! * [`KernelShape`] / [`UpdShape`] — the complete descriptor of one
 //!   microkernel (register blocking, strides, inner channel-block
-//!   count, prefetch behaviour),
+//!   count, prefetch behaviour), with the [`Extents`] it may touch,
 //! * the six-pointer ABI of Section II-E: three compute pointers plus
-//!   three prefetch pointers for the *next* invocation's sub-tensors.
+//!   three prefetch pointers for the *next* invocation's sub-tensors,
+//! * one portable scalar kernel per flavour, written straight from the
+//!   loop nest the JIT unrolls: the reference every generated kernel
+//!   is tested against, and what `conv` runs on a host that cannot
+//!   execute generated code.
 //!
 //! Kernels:
 //! * [`fwd`] — forward/backward f32 microkernel (backward reuses it via
 //!   the duality transform of Section II-I),
 //! * [`upd`] — weight-gradient microkernel (one `VLEN×VLEN` dW panel
 //!   per invocation, Section II-J),
-//! * [`quant`] — int16→int32 kernels with VNNI pairing (Section II-K).
+//! * [`quant`] — int16→int32 kernel with VNNI pairing (Section II-K).
 
 // Kernel bodies index fixed-size accumulator tiles by (p, q, lane)
 // coordinates to mirror the register blocking; iterator rewrites would
@@ -31,10 +31,7 @@ pub mod quant;
 pub mod shape;
 pub mod upd;
 
-pub use fwd::{select_fwd, FwdFn};
-pub use quant::{select_quant, QuantFn};
 pub use shape::{Extents, KernelShape, UpdShape};
-pub use upd::{select_upd, UpdFn};
 
 /// True when the host can run the AVX-512 f32 kernels.
 pub fn has_avx512() -> bool {

@@ -1,11 +1,14 @@
-//! Reduced-precision int16 → int32 microkernel (Section II-K).
+//! Reduced-precision int16 → int32 microkernel (Section II-K): the
+//! scalar oracle.
 //!
 //! The kernel follows the same structure as the f32 forward kernel but
 //! consumes channel *pairs*: one 32-bit broadcast carries two adjacent
 //! int16 input channels, one 512-bit weight load carries the
-//! pair-interleaved weights (see `tensor::vnni`), and `vpdpwssd`
-//! multiplies the pairs and accumulates into int32 lanes — the AVX-512
-//! VNNI equivalent of Knights Mill's `4VNNIW`.
+//! pair-interleaved weights (see `tensor::vnni`), and the JIT's
+//! `vpdpwssd` multiplies the pairs and accumulates into int32 lanes —
+//! the AVX-512 VNNI equivalent of Knights Mill's `4VNNIW`.
+//! [`quant_scalar`] performs the same pairwise arithmetic in the same
+//! order, so it agrees with the generated code bit for bit.
 //!
 //! The paper restricts the FMA accumulation-chain length to avoid
 //! overflowing the int32 accumulators; [`KernelShape::cb_inner`] plays
@@ -16,41 +19,8 @@
 use crate::shape::KernelShape;
 use tensor::VLEN;
 
-/// Quantized microkernel ABI (mirrors [`crate::FwdFn`] with int types).
-pub type QuantFn = unsafe fn(
-    sh: &KernelShape,
-    inp: *const i16,
-    wt: *const i16,
-    out: *mut i32,
-    pf_in: *const i16,
-    pf_wt: *const i16,
-    pf_out: *const i32,
-);
-
-/// Select the best available quantized kernel for `sh`.
-///
-/// Preference: AVX-512 VNNI (`vpdpwssd`), then plain AVX-512
-/// (`vpmaddwd` + `vpaddd`, the pre-VNNI sequence), then scalar.
-pub fn select_quant(sh: &KernelShape) -> QuantFn {
-    sh.validate();
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512vnni") {
-            if let Some(k) = lookup_vnni(sh.rbp, sh.rbq) {
-                return k;
-            }
-        }
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            if let Some(k) = lookup_madd(sh.rbp, sh.rbq) {
-                return k;
-            }
-        }
-    }
-    quant_scalar
-}
-
 /// Portable scalar kernel: processes channel pairs exactly like the
-/// vector kernels, so results are bit-identical across backends.
+/// generated kernels, so results are bit-identical across backends.
 ///
 /// # Safety
 /// `inp`, `wt` and `out` must point to buffers that stay in bounds for
@@ -107,151 +77,6 @@ pub unsafe fn quant_scalar(
             }
         }
     }
-}
-
-/// AVX-512 VNNI kernel: `vpdpwssd` with a 32-bit embedded broadcast.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512vnni,avx512bw")]
-unsafe fn quant_vnni<const RBP: usize, const RBQ: usize>(
-    sh: &KernelShape,
-    inp: *const i16,
-    wt: *const i16,
-    out: *mut i32,
-    pf_in: *const i16,
-    pf_wt: *const i16,
-    pf_out: *const i32,
-) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm512_setzero_si512(); RBQ]; RBP];
-    if !sh.init_zero {
-        for p in 0..RBP {
-            for q in 0..RBQ {
-                acc[p][q] = _mm512_loadu_si512(out.add(sh.out_off(p, q)) as *const _);
-            }
-        }
-    }
-    if sh.prefetch && !pf_in.is_null() {
-        let in_rows = (RBP - 1) * sh.stride + sh.r;
-        for row in 0..in_rows {
-            _mm_prefetch::<_MM_HINT_T1>(pf_in.add(row * sh.in_row_stride) as *const i8);
-        }
-        _mm_prefetch::<_MM_HINT_T1>(pf_wt as *const i8);
-        for p in 0..RBP {
-            _mm_prefetch::<_MM_HINT_T0>(pf_out.add(sh.out_off(p, 0)) as *const i8);
-        }
-    }
-    for cb in 0..sh.cb_inner {
-        for r in 0..sh.r {
-            for s in 0..sh.s {
-                let wbase = wt.add(sh.wt_off(cb, r, s));
-                for cp in 0..VLEN / 2 {
-                    // one 512-bit load: 16 k-lanes × one i16 channel pair
-                    let w = _mm512_loadu_si512(wbase.add(cp * VLEN * 2) as *const _);
-                    for p in 0..RBP {
-                        let ibase = inp.add(sh.in_off(cb, r, s, p, 0) + 2 * cp);
-                        for q in 0..RBQ {
-                            let pair = *(ibase.add(q * sh.stride * VLEN) as *const i32);
-                            let b = _mm512_set1_epi32(pair);
-                            acc[p][q] = _mm512_dpwssd_epi32(acc[p][q], b, w);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for p in 0..RBP {
-        for q in 0..RBQ {
-            _mm512_storeu_si512(out.add(sh.out_off(p, q)) as *mut _, acc[p][q]);
-        }
-    }
-}
-
-/// Pre-VNNI AVX-512 kernel: `vpmaddwd` (pairwise i16 multiply-add into
-/// i32) followed by `vpaddd` — two instructions where VNNI needs one,
-/// i.e. no throughput gain over f32, matching pre-KNM silicon.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512bw")]
-unsafe fn quant_madd<const RBP: usize, const RBQ: usize>(
-    sh: &KernelShape,
-    inp: *const i16,
-    wt: *const i16,
-    out: *mut i32,
-    _pf_in: *const i16,
-    _pf_wt: *const i16,
-    _pf_out: *const i32,
-) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm512_setzero_si512(); RBQ]; RBP];
-    if !sh.init_zero {
-        for p in 0..RBP {
-            for q in 0..RBQ {
-                acc[p][q] = _mm512_loadu_si512(out.add(sh.out_off(p, q)) as *const _);
-            }
-        }
-    }
-    for cb in 0..sh.cb_inner {
-        for r in 0..sh.r {
-            for s in 0..sh.s {
-                let wbase = wt.add(sh.wt_off(cb, r, s));
-                for cp in 0..VLEN / 2 {
-                    let w = _mm512_loadu_si512(wbase.add(cp * VLEN * 2) as *const _);
-                    for p in 0..RBP {
-                        let ibase = inp.add(sh.in_off(cb, r, s, p, 0) + 2 * cp);
-                        for q in 0..RBQ {
-                            let pair = *(ibase.add(q * sh.stride * VLEN) as *const i32);
-                            let b = _mm512_set1_epi32(pair);
-                            let prod = _mm512_madd_epi16(b, w);
-                            acc[p][q] = _mm512_add_epi32(acc[p][q], prod);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for p in 0..RBP {
-        for q in 0..RBQ {
-            _mm512_storeu_si512(out.add(sh.out_off(p, q)) as *mut _, acc[p][q]);
-        }
-    }
-}
-
-/// Dispatch table shared by both int16 kernel families.
-#[cfg(target_arch = "x86_64")]
-macro_rules! quant_dispatch {
-    ($kern:ident, $rbp:expr, $rbq:expr) => {
-        match ($rbp, $rbq) {
-            (1, 1) => Some($kern::<1, 1> as QuantFn),
-            (1, 2) => Some($kern::<1, 2> as QuantFn),
-            (1, 3) => Some($kern::<1, 3> as QuantFn),
-            (1, 4) => Some($kern::<1, 4> as QuantFn),
-            (1, 5) => Some($kern::<1, 5> as QuantFn),
-            (1, 6) => Some($kern::<1, 6> as QuantFn),
-            (1, 7) => Some($kern::<1, 7> as QuantFn),
-            (1, 8) => Some($kern::<1, 8> as QuantFn),
-            (1, 9) => Some($kern::<1, 9> as QuantFn),
-            (1, 10) => Some($kern::<1, 10> as QuantFn),
-            (1, 11) => Some($kern::<1, 11> as QuantFn),
-            (1, 12) => Some($kern::<1, 12> as QuantFn),
-            (1, 13) => Some($kern::<1, 13> as QuantFn),
-            (1, 14) => Some($kern::<1, 14> as QuantFn),
-            (1, 16) => Some($kern::<1, 16> as QuantFn),
-            (1, 28) => Some($kern::<1, 28> as QuantFn),
-            (2, 7) => Some($kern::<2, 7> as QuantFn),
-            (2, 14) => Some($kern::<2, 14> as QuantFn),
-            (4, 7) => Some($kern::<4, 7> as QuantFn),
-            _ => None,
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-fn lookup_vnni(rbp: usize, rbq: usize) -> Option<QuantFn> {
-    quant_dispatch!(quant_vnni, rbp, rbq)
-}
-
-#[cfg(target_arch = "x86_64")]
-fn lookup_madd(rbp: usize, rbq: usize) -> Option<QuantFn> {
-    quant_dispatch!(quant_madd, rbp, rbq)
 }
 
 #[cfg(test)]
@@ -316,22 +141,6 @@ mod tests {
             )
         };
         assert_eq!(expect, out_s, "scalar mismatch {sh:?}");
-
-        let k = select_quant(sh);
-        let mut out_v = out0.clone();
-        // SAFETY: same buffers as the scalar call above.
-        unsafe {
-            k(
-                sh,
-                inp.as_ptr(),
-                wt.as_ptr(),
-                out_v.as_mut_ptr(),
-                inp.as_ptr(),
-                wt.as_ptr(),
-                out_v.as_mut_ptr(),
-            )
-        };
-        assert_eq!(expect, out_v, "dispatched mismatch {sh:?}");
     }
 
     fn base(rbp: usize, rbq: usize, r: usize, s: usize, stride: usize, cbi: usize) -> KernelShape {
@@ -376,17 +185,5 @@ mod tests {
         let mut sh = base(1, 7, 3, 3, 1, 1);
         sh.init_zero = true;
         check(&sh);
-    }
-
-    #[test]
-    fn dispatch_uses_vnni_when_available() {
-        if crate::has_vnni() {
-            let sh = base(1, 14, 1, 1, 1, 1);
-            let k = select_quant(&sh);
-            assert!(
-                !std::ptr::fn_addr_eq(k, quant_scalar as QuantFn),
-                "should pick a vector kernel"
-            );
-        }
     }
 }

@@ -4,9 +4,9 @@
 //! instruction stream: register blocking factors, tensor strides (in
 //! *elements*), the number of input-channel blocks reduced inside one
 //! invocation, and whether accumulators start from zero or from the
-//! output tensor. Both the intrinsics backend (this crate) and the JIT
-//! backend (`jit` crate) consume the same descriptors, so an engine can
-//! switch backends without touching its loop structure.
+//! output tensor. The scalar oracle kernels (this crate) and the JIT
+//! (`jit` crate) consume the same descriptors, so an engine can switch
+//! between them without touching its loop structure.
 
 use tensor::VLEN;
 

@@ -1,4 +1,5 @@
-//! Weight-gradient microkernel (Algorithm 9 / Section II-J).
+//! Weight-gradient microkernel (Algorithm 9 / Section II-J): the
+//! scalar oracle.
 //!
 //! One invocation accumulates a single `VLEN × VLEN` panel of `dW` for
 //! one filter tap `(r, s)`, sweeping a `BP × BQ` block of output
@@ -9,30 +10,6 @@
 
 use crate::shape::UpdShape;
 use tensor::VLEN;
-
-/// Weight-update microkernel ABI: input (pre-offset to tap `(r,s)`),
-/// output gradient, dW panel, plus the three prefetch pointers.
-pub type UpdFn = unsafe fn(
-    sh: &UpdShape,
-    inp: *const f32,
-    dout: *const f32,
-    dw: *mut f32,
-    pf_in: *const f32,
-    pf_do: *const f32,
-    pf_dw: *const f32,
-);
-
-/// Select the best available update kernel for `sh`.
-pub fn select_upd(sh: &UpdShape) -> UpdFn {
-    sh.validate();
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return upd_avx512;
-        }
-    }
-    upd_scalar
-}
 
 /// Portable scalar update kernel.
 ///
@@ -74,54 +51,6 @@ pub unsafe fn upd_scalar(
         for (v, x) in row.iter().enumerate() {
             *base.add(v) = *x;
         }
-    }
-}
-
-/// AVX-512 update kernel: 16 zmm accumulators hold the dW panel.
-///
-/// # Safety
-/// Same contract as [`upd_scalar`], plus the CPU must support AVX-512F
-/// and the prefetch pointers must be valid to prefetch (any readable
-/// or null address).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub unsafe fn upd_avx512(
-    sh: &UpdShape,
-    inp: *const f32,
-    dout: *const f32,
-    dw: *mut f32,
-    pf_in: *const f32,
-    pf_do: *const f32,
-    pf_dw: *const f32,
-) {
-    use std::arch::x86_64::*;
-    let mut acc = [_mm512_setzero_ps(); VLEN];
-    for (c, a) in acc.iter_mut().enumerate() {
-        *a = _mm512_loadu_ps(dw.add(c * VLEN));
-    }
-    if sh.prefetch && !pf_in.is_null() {
-        for row in 0..sh.bp.min(8) {
-            _mm_prefetch::<_MM_HINT_T1>(pf_in.add(row * sh.stride * sh.in_row_stride) as *const i8);
-            _mm_prefetch::<_MM_HINT_T1>(pf_do.add(row * sh.do_row_stride) as *const i8);
-        }
-        for c in 0..VLEN {
-            _mm_prefetch::<_MM_HINT_T0>(pf_dw.add(c * VLEN) as *const i8);
-        }
-    }
-    for p in 0..sh.bp {
-        let grow = dout.add(sh.do_off(p, 0));
-        let xrow = inp.add(sh.in_off(p, 0));
-        for q in 0..sh.bq {
-            let g = _mm512_loadu_ps(grow.add(q * VLEN));
-            let x = xrow.add(q * sh.stride * VLEN);
-            // 16 independent chains: one per input channel
-            for (c, a) in acc.iter_mut().enumerate() {
-                *a = _mm512_fmadd_ps(_mm512_set1_ps(*x.add(c)), g, *a);
-            }
-        }
-    }
-    for (c, a) in acc.iter().enumerate() {
-        _mm512_storeu_ps(dw.add(c * VLEN), *a);
     }
 }
 
@@ -170,23 +99,6 @@ mod tests {
         };
         let n = tensor::Norms::compare(&expect, &dw_s);
         assert!(n.ok(1e-5), "scalar {sh:?}: {n}");
-
-        let k = select_upd(sh);
-        let mut dw_v = dw0.clone();
-        // SAFETY: same buffers as the scalar call above.
-        unsafe {
-            k(
-                sh,
-                inp.as_ptr(),
-                dout.as_ptr(),
-                dw_v.as_mut_ptr(),
-                inp.as_ptr(),
-                dout.as_ptr(),
-                dw_v.as_mut_ptr(),
-            )
-        };
-        let n = tensor::Norms::compare(&expect, &dw_v);
-        assert!(n.ok(1e-5), "dispatched {sh:?}: {n}");
     }
 
     fn base(bp: usize, bq: usize, stride: usize) -> UpdShape {
@@ -225,11 +137,10 @@ mod tests {
         let inp = vec![1.0f32; in_len];
         let dout = vec![1.0f32; do_len];
         let mut dw = vec![0.0f32; 256];
-        let k = select_upd(&sh);
         for _ in 0..3 {
             // SAFETY: buffers sized by the shape's extents above.
             unsafe {
-                k(
+                upd_scalar(
                     &sh,
                     inp.as_ptr(),
                     dout.as_ptr(),

@@ -5,8 +5,7 @@
 //! al., SC 2018): JIT-compiled direct-convolution kernels, the
 //! kernel-streams dryrun/replay execution framework, layer fusion,
 //! duality-based backward propagation, bandwidth-balanced weight
-//! updates, int16 (VNNI) kernels, and the GxM graph executor with
-//! simulated multi-node data parallelism.
+//! updates, int16 (VNNI) kernels, and the GxM graph executor.
 //!
 //! This root crate re-exports the workspace so examples and downstream
 //! users can depend on one name:
