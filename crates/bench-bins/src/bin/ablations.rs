@@ -13,7 +13,6 @@ use conv::blocking;
 use conv::fuse::{apply_unfused, FuseCtx, FusedOp};
 use conv::upd::UpdPlan;
 use conv::{Backend, ConvLayer, LayerOptions, PlanRequest};
-use machine::MachineModel;
 use parallel::ThreadPool;
 use tensor::{BlockedActs, BlockedFilter, ConvShape};
 
@@ -103,13 +102,15 @@ fn main() {
             let b = blocking::choose(&shape);
             let dout = BlockedActs::random(shape.n, shape.k, shape.p(), shape.q(), 0, 3);
             let mut dw = BlockedFilter::zeros(shape.k, shape.c, shape.r, shape.s);
-            for g in [1usize, cfg.threads / 2, cfg.threads] {
+            let mut copies = vec![1usize, cfg.threads / 2, cfg.threads];
+            copies.dedup();
+            for g in copies {
                 if g == 0 || !cfg.threads.is_multiple_of(g) {
                     continue;
                 }
                 let opts = LayerOptions::new(cfg.threads).with_dout_pad(0);
                 let req = PlanRequest::new(shape, b, &opts);
-                let plan = UpdPlan::with_forced_copies(&req, &MachineModel::skx(), g);
+                let plan = UpdPlan::with_forced_copies(&req, g);
                 let t = time_it(|| plan.run(&pool, &x, &dout, &mut dw), cfg.warmup, cfg.iters);
                 println!("upd copies={:<3} {:8.1} GFLOPS", g, gflops(&shape, t));
             }

@@ -5,6 +5,7 @@
 //! forward except stride-2 layers; update 10–15 points lower.
 
 use bench_bins::{calibrate_host, gflops, time_it, HarnessConfig};
+use conv::upd::choose_copies;
 use conv::{ConvLayer, LayerOptions};
 use machine::{predicted_efficiency, MachineModel, Pass};
 use parallel::ThreadPool;
@@ -37,7 +38,7 @@ fn main() {
             g_upd,
             100.0 * g_upd / host.peak_gflops(),
             100.0 * predicted_efficiency(&skx, &shape, Pass::Update),
-            layer.upd_copies(),
+            choose_copies(&shape, cfg.threads),
         );
     }
 }

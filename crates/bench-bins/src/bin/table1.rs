@@ -1,6 +1,7 @@
 //! Regenerate Table I: the ResNet-50 layer specifications, plus each
 //! layer's derived blocking and strategy decisions from our engines.
 
+use conv::upd::choose_copies;
 use conv::{ConvLayer, LayerOptions};
 use topologies::resnet50_table1;
 
@@ -24,7 +25,7 @@ fn main() {
             b.rbq,
             b.cb_inner,
             layer.bwd_kind(),
-            layer.upd_copies(),
+            choose_copies(&shape, cfg.threads),
         );
     }
 }

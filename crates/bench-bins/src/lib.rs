@@ -4,7 +4,7 @@
 //! DESIGN.md §3): it runs the real engines on the host, reports GFLOPS
 //! and fraction-of-host-peak, and prints the machine-model predictions
 //! for the paper's SKX/KNM testbeds next to them so the paper's shapes
-//! can be compared directly (EXPERIMENTS.md records both).
+//! can be compared directly (DESIGN.md §2 is the per-experiment index).
 
 pub mod multinode;
 

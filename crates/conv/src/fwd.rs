@@ -17,7 +17,7 @@ use crate::blocking::Blocking;
 use crate::bwd::BwdKind;
 use crate::fuse::{apply_tile, ApplyRec, FuseCtx, FusedOp};
 use crate::layer::LayerOptions;
-use crate::streams::{SendPtr, Stream};
+use crate::streams::{replay_all, SendPtr, Stream};
 use microkernel::KernelShape;
 use parallel::{FlatPartition, ThreadPool};
 use std::collections::HashMap;
@@ -184,8 +184,8 @@ pub fn kernel_shape_variants(
 pub struct StreamPlan<F: Flavor<Shape = KernelShape>> {
     /// The request as planned (`blocking` chain-clamped).
     req: PlanRequest,
-    kernels: Vec<Kernel<F>>,
-    streams: Vec<Stream>,
+    pub(crate) kernels: Vec<Kernel<F>>,
+    pub(crate) streams: Vec<Stream>,
     out_geom: OutGeom,
 }
 
@@ -317,30 +317,6 @@ impl<F: Flavor<Shape = KernelShape>> StreamPlan<F> {
             );
         }
     }
-
-    /// Replay every thread's stream on `pool`; `apply` is the fused
-    /// operator run on each finished tile.
-    ///
-    /// # Safety
-    /// The pointers must describe tensors with exactly the geometry the
-    /// plan was dryrun for; output tiles are disjoint per thread.
-    #[inline]
-    pub(crate) unsafe fn replay_all(
-        &self,
-        pool: &ThreadPool,
-        input: *const F::In,
-        weights: *const F::In,
-        output: *mut F::Acc,
-        apply: impl Fn(&ApplyRec) + Sync,
-    ) {
-        let (inp, wt, out) = (SendPtr::new(input), SendPtr::new(weights), SendPtr(output));
-        pool.run(|pctx| {
-            // SAFETY: per this function's contract.
-            unsafe {
-                self.streams[pctx.tid].replay(&self.kernels, inp.get(), wt.get(), out.get(), &apply)
-            };
-        });
-    }
 }
 
 impl FwdPlan {
@@ -378,7 +354,7 @@ impl FwdPlan {
         ctx: &FuseCtx<'_>,
     ) {
         let (fused, out) = (self.req.fused, SendPtr(output));
-        self.replay_all(pool, input, weights, output, |rec| {
+        replay_all(pool, &self.streams, &self.kernels, input, weights, output, |rec| {
             // SAFETY: the record addresses a tile of `output` this
             // thread just finished reducing.
             unsafe { apply_tile(fused, rec, out.get(), ctx) }

@@ -243,7 +243,7 @@ impl ConvLayer {
         let req = PlanRequest::new(shape, outcome.blocking, &opts);
         let fwd = FwdPlan::new(&req);
         let bwd = BwdPlan::new(&req);
-        let upd = UpdPlan::new(&req, &opts.machine);
+        let upd = UpdPlan::new(&req);
         let quant = (opts.precision == Precision::Int8).then(|| {
             // the requantizing APPLY must visit every output tile, so a
             // fusion-free layer still records applies: Bias with an
@@ -281,11 +281,6 @@ impl ConvLayer {
     /// Backward strategy chosen (Section II-I scenario).
     pub fn bwd_kind(&self) -> BwdKind {
         self.bwd.kind()
-    }
-
-    /// Weight-update copies chosen by the Section II-J model.
-    pub fn upd_copies(&self) -> usize {
-        self.upd.copies()
     }
 
     /// Kernel backend the forward plan resolved to.
@@ -463,7 +458,7 @@ mod tests {
         let shape = ConvShape::new(2, 64, 64, 14, 14, 1, 1, 1, 0);
         let layer = ConvLayer::new(shape, LayerOptions::new(2));
         assert_eq!(layer.bwd_kind(), BwdKind::DualStride1);
-        assert!(layer.upd_copies() >= 1);
+        assert!(layer.kernel_backends().contains(&("upd", layer.backend_name())));
         assert!(["jit", "scalar"].contains(&layer.backend_name()));
         assert_eq!(layer.dout_pad(), 0);
     }

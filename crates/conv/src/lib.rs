@@ -8,9 +8,8 @@
 //!   it, the scalar oracle otherwise — [`backend`]), runs the
 //!   *dryrun* that records each thread's exact sequence of kernel
 //!   invocations as offset streams with RLE-encoded segments
-//!   ([`streams`], Section II-H), and chooses the weight-update
-//!   parallelization strategy with the Section II-J bandwidth model
-//!   ([`upd`]);
+//!   ([`streams`], Section II-H) — for the weight update ([`upd`])
+//!   as for every other pass;
 //! * **execution** replays the per-thread streams (Algorithm 5): no
 //!   branchy index math, prefetch arguments taken from the next stream
 //!   entry, fused operators ([`fuse`]) applied while output sub-tensors

@@ -24,7 +24,7 @@ use crate::backend::I16Fwd;
 use crate::bwd::dual_request;
 use crate::fuse::{apply_tile_requant, ApplyRec, FuseCtx, FusedOp};
 use crate::fwd::{PlanRequest, StreamPlan};
-use crate::streams::SendPtr;
+use crate::streams::{replay_all, SendPtr};
 use parallel::{split_even, ThreadPool};
 use tensor::vnni::BlockedI32;
 use tensor::{BlockedActs, BlockedFilter, ConvShape, VnniActs, VnniFilter, VLEN};
@@ -97,9 +97,10 @@ impl QuantFwdPlan {
             // thread just finished accumulating.
             unsafe { apply_tile_requant(fused, rec, out.get(), mult, ctx) }
         };
+        let (inp, wt, acc) = (input.as_ptr(), weights.as_ptr(), out.get().cast());
         // SAFETY: geometry validated above; threads own disjoint
         // tiles, and every tile's APPLY follows its last reduction.
-        unsafe { self.replay_all(pool, input.as_ptr(), weights.as_ptr(), out.get().cast(), apply) };
+        unsafe { replay_all(pool, &self.streams, &self.kernels, inp, wt, acc, apply) };
     }
 
     /// Raw-pointer execution of a raw plan (duality paths).
@@ -114,7 +115,9 @@ impl QuantFwdPlan {
         out: *mut i32,
     ) {
         assert_eq!(self.fused(), FusedOp::None, "fused plans must run through run_fused");
-        self.replay_all(pool, input, weights, out, |_| unreachable!("raw plans record no APPLY"));
+        replay_all(pool, &self.streams, &self.kernels, input, weights, out, |_| {
+            unreachable!("raw plans record no APPLY")
+        });
     }
 }
 

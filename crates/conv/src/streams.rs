@@ -16,6 +16,7 @@
 
 use crate::backend::{Flavor, Kernel};
 use crate::fuse::ApplyRec;
+use parallel::ThreadPool;
 
 /// One RLE segment of a thread's execution (Figure 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,6 +120,33 @@ impl Stream {
         }
         debug_assert_eq!(i, self.var.len(), "segment RLE must cover every call");
     }
+}
+
+/// Replay one recorded stream per team member on `pool`: the one
+/// execution loop of every streamed plan — forward, dual backward,
+/// int16 forward and weight update. `apply` is the fused operator run
+/// on each finished output tile.
+///
+/// # Safety
+/// The pointers must describe tensors with exactly the geometry the
+/// streams were dryrun for; the output sub-tensors the streams write
+/// must be disjoint across threads.
+#[inline]
+pub(crate) unsafe fn replay_all<F: Flavor>(
+    pool: &ThreadPool,
+    streams: &[Stream],
+    kernels: &[Kernel<F>],
+    inp: *const F::In,
+    wt: *const F::In,
+    out: *mut F::Acc,
+    apply: impl Fn(&ApplyRec) + Sync,
+) {
+    assert_eq!(pool.nthreads(), streams.len(), "plan was dryrun for a different team size");
+    let (inp, wt, out) = (SendPtr::new(inp), SendPtr::new(wt), SendPtr(out));
+    pool.run(|pctx| {
+        // SAFETY: per this function's contract.
+        unsafe { streams[pctx.tid].replay(kernels, inp.get(), wt.get(), out.get(), &apply) };
+    });
 }
 
 /// Shareable raw pointer for pool regions whose threads touch disjoint

@@ -8,6 +8,7 @@
 
 use anatomy::conv::fuse::FuseCtx;
 use anatomy::conv::reference::{conv_bwd_ref, conv_fwd_ref, conv_upd_ref};
+use anatomy::conv::upd::choose_copies;
 use anatomy::conv::{ConvLayer, LayerOptions};
 use anatomy::parallel::ThreadPool;
 use anatomy::tensor::{BlockedActs, BlockedFilter, ConvShape, Kcrs, Nchw, Norms};
@@ -22,13 +23,14 @@ fn main() {
     let t0 = std::time::Instant::now();
     let layer = ConvLayer::new(shape, LayerOptions::new(threads));
     println!(
-        "setup (kernel generation + dryrun): {:?} — backend '{}', blocking {}x{}, bwd {:?}, {} dW copies",
+        "setup (kernel generation + dryrun): {:?} — backend '{}', blocking {}x{}, bwd {:?}, \
+         {} dW copies by the Section II-J model (the engine runs one)",
         t0.elapsed(),
         layer.backend_name(),
         layer.blocking().rbp,
         layer.blocking().rbq,
         layer.bwd_kind(),
-        layer.upd_copies()
+        choose_copies(&shape, threads)
     );
 
     // data in interchange format, converted to the blocked layouts

@@ -41,8 +41,9 @@
 //! [`Error`], and trained weights travel through [`StateDict`]s for
 //! the train → save → load → serve round trip.
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment
-//! index, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `DESIGN.md` for the system inventory, and its §2
+//! (per-experiment index) for which binary reproduces which paper
+//! artifact.
 
 #![deny(missing_docs)]
 
