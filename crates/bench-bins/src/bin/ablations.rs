@@ -103,6 +103,7 @@ fn main() {
             let dout = BlockedActs::random(shape.n, shape.k, shape.p(), shape.q(), 0, 3);
             let mut dw = BlockedFilter::zeros(shape.k, shape.c, shape.r, shape.s);
             let mut copies = vec![1usize, cfg.threads / 2, cfg.threads];
+            copies.sort_unstable();
             copies.dedup();
             for g in copies {
                 if g == 0 || !cfg.threads.is_multiple_of(g) {
