@@ -22,9 +22,8 @@
 //!   serve until killed).
 //! * `--replicas/--threads/--minibatch/--queue-cap/--max-wait-ms` —
 //!   per-model serving shape (defaults `1`/`2`/`4`/derived/`2`).
-//! * `--tune off|model|measured` — plan-time autotuning level of the
-//!   hosted convolutions (default: the `ANATOMY_TUNE` env var, else
-//!   `off`).
+//! * `--tune off|measured` — plan-time autotuning level of the hosted
+//!   convolutions (default: the `ANATOMY_TUNE` env var, else `off`).
 //! * `--precision f32|int8` — numeric execution mode of the hosted
 //!   replicas (default: the `ANATOMY_PRECISION` env var, else `f32`).
 //!   At `int8` every model calibrates on a small seeded sample batch

@@ -6,6 +6,7 @@
 //! for the paper's SKX/KNM testbeds next to them so the paper's shapes
 //! can be compared directly (DESIGN.md §2 is the per-experiment index).
 
+pub mod int16_upd;
 pub mod multinode;
 
 use machine::MachineModel;

@@ -61,11 +61,11 @@ impl BwdKind {
     }
 }
 
-/// The duality transform (Section II-I), derived once for the f32 and
-/// the int16 backward plans: the forward request on the dual shape —
-/// dO (physically padded by `R−1−pad`) plays the input and the dual
-/// output is written through dI's geometry (`req.input_pad` physical
-/// padding), at stride-multiple pixels for the strided 1×1 duality.
+/// The duality transform (Section II-I) of the backward plan: the
+/// forward request on the dual shape — dO (physically padded by
+/// `R−1−pad`) plays the input and the dual output is written through
+/// dI's geometry (`req.input_pad` physical padding), at stride-multiple
+/// pixels for the strided 1×1 duality.
 /// `None` for shapes that take the Algorithm 7 fallback.
 pub(crate) fn dual_request(req: &PlanRequest) -> Option<PlanRequest> {
     let (sh, pad) = (req.shape, req.input_pad);

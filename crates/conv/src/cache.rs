@@ -3,7 +3,7 @@
 //! The paper's setup/replay split (Section II-H) makes a fully planned
 //! [`ConvLayer`] a natural unit of reuse: everything the setup phase
 //! produces — JIT code buffers, dryrun offset streams, the backward
-//! duality plan, the weight-update strategy — depends only on the
+//! duality plan, the weight-update streams — depends only on the
 //! normalized `(ConvShape, LayerOptions)` pair. ResNet-50 instantiates
 //! 53 convolution nodes over ~20 distinct shapes; building the graph
 //! through a [`PlanCache`] performs one JIT + dryrun per distinct
@@ -20,7 +20,6 @@ use crate::backend::Backend;
 use crate::fuse::FusedOp;
 use crate::layer::{ConvLayer, LayerOptions, Precision};
 use crate::tune::{TuneLevel, TuneStore};
-use machine::MachineModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,7 +27,7 @@ use tensor::ConvShape;
 
 /// Normalized cache key: every input of the layer-setup pipeline that
 /// can change the generated plan.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct LayerKey {
     shape: ConvShape,
     threads: usize,
@@ -46,7 +45,9 @@ struct LayerKey {
     /// from ever colliding with the pad-0 training plans of the same
     /// shape.
     out_pad: usize,
-    machine: MachineModel,
+    /// Fingerprint of the tuner's machine model (the same hash the
+    /// tuning store keys on).
+    machine: u64,
     /// Tuning level: a `Measured`-tuned plan and the heuristic plan of
     /// the same shape are different plans and must not collide.
     tune: TuneLevel,
@@ -57,39 +58,6 @@ struct LayerKey {
     /// `F32` (where it is ignored), so chain-length variants of f32
     /// requests unify while int8 variants stay distinct.
     chain_limit: usize,
-}
-
-impl Eq for LayerKey {}
-
-// MachineModel carries f64 fields, so Hash cannot be derived; hashing
-// the bit patterns is consistent with the derived PartialEq above
-// (equal floats in a model hash equally; models never hold NaN).
-impl std::hash::Hash for LayerKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.shape.hash(state);
-        self.threads.hash(state);
-        self.backend.hash(state);
-        self.prefetch.hash(state);
-        self.fuse.hash(state);
-        self.input_pad.hash(state);
-        self.dout_pad.hash(state);
-        self.out_pad.hash(state);
-        self.tune.hash(state);
-        self.precision.hash(state);
-        self.chain_limit.hash(state);
-        let m = &self.machine;
-        m.name.hash(state);
-        m.cores.hash(state);
-        m.freq_ghz.to_bits().hash(state);
-        m.simd_f32.hash(state);
-        m.fma_per_cycle.hash(state);
-        m.fma_latency.hash(state);
-        m.l2_read_gbs.to_bits().hash(state);
-        m.l2_write_gbs.to_bits().hash(state);
-        m.mem_bw_gbs.to_bits().hash(state);
-        m.shared_llc.hash(state);
-        m.int16_speedup.to_bits().hash(state);
-    }
 }
 
 impl LayerKey {
@@ -103,7 +71,7 @@ impl LayerKey {
             input_pad: opts.input_pad.unwrap_or(shape.pad),
             dout_pad: opts.dout_pad,
             out_pad: opts.out_pad,
-            machine: opts.machine.clone(),
+            machine: opts.machine.fingerprint(),
             tune: opts.tune,
             precision: opts.precision,
             chain_limit: if opts.precision == Precision::Int8 { opts.chain_limit } else { 0 },
@@ -136,8 +104,7 @@ pub struct PlanCacheStats {
     /// the cache behaviour of folded-BN inference plans observable
     /// next to the plain training plans.
     pub per_op: [FusedOpCacheStats; FusedOp::ALL.len()],
-    /// Plans built with an autotuned blocking (`Model` or `Measured`
-    /// outcome).
+    /// Plans built with a measured blocking (`Measured` outcome).
     pub tuned_plans: usize,
     /// Plans built with the heuristic blocking.
     pub heuristic_plans: usize,
@@ -382,9 +349,11 @@ mod tests {
         let _ = cache.get_or_build(small_shape(), LayerOptions::new(4));
         let _ = cache.get_or_build(small_shape(), LayerOptions::new(2).with_fuse(FusedOp::Relu));
         let _ = cache.get_or_build(small_shape(), LayerOptions::new(2).with_prefetch(false));
-        assert_eq!(cache.misses(), 4);
+        let knm = LayerOptions::new(2).with_machine(machine::MachineModel::knm());
+        let _ = cache.get_or_build(small_shape(), knm);
+        assert_eq!(cache.misses(), 5);
         assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 5);
     }
 
     #[test]
@@ -448,25 +417,26 @@ mod tests {
     fn tune_level_is_part_of_the_key() {
         let cache = PlanCache::new();
         let a = cache.get_or_build(small_shape(), LayerOptions::new(2));
-        let b = cache.get_or_build(small_shape(), LayerOptions::new(2).with_tune(TuneLevel::Model));
+        let measured = LayerOptions::new(2).with_tune(TuneLevel::Measured);
+        let b = cache.get_or_build(small_shape(), measured);
         assert!(!Arc::ptr_eq(&a, &b), "tuned and heuristic plans must not collide");
         assert_eq!(cache.misses(), 2);
         let stats = cache.stats();
-        assert_eq!(stats.heuristic_plans, 1);
-        assert_eq!(stats.tuned_plans, 1);
+        // without a pool the measured request degrades to the heuristic
+        assert_eq!((stats.heuristic_plans, stats.tuned_plans), (2, 0));
         assert_eq!(stats.tune_runs, 1);
     }
 
     #[test]
     fn same_shape_and_machine_tunes_exactly_once() {
         let cache = PlanCache::new();
-        let model = LayerOptions::new(2).with_tune(TuneLevel::Model);
+        let measured = LayerOptions::new(2).with_tune(TuneLevel::Measured);
         // fused variants are distinct *plans* but the same tuning key:
         // the blocking search must run once for all of them
-        let a = cache.get_or_build(small_shape(), model.clone());
-        let b = cache.get_or_build(small_shape(), model.clone().with_fuse(FusedOp::Relu));
-        let c = cache.get_or_build(small_shape(), model.clone().with_fuse(FusedOp::BiasRelu));
-        let _ = cache.get_or_build(small_shape(), model); // pure hit
+        let a = cache.get_or_build(small_shape(), measured.clone());
+        let b = cache.get_or_build(small_shape(), measured.clone().with_fuse(FusedOp::Relu));
+        let c = cache.get_or_build(small_shape(), measured.clone().with_fuse(FusedOp::BiasRelu));
+        let _ = cache.get_or_build(small_shape(), measured); // pure hit
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.stats().tune_runs, 1, "one search for one (shape, machine, level)");
         assert_eq!(a.blocking(), b.blocking());
@@ -476,7 +446,8 @@ mod tests {
     #[test]
     fn tuning_survives_a_save_load_round_trip_with_zero_micro_runs() {
         let cache = PlanCache::new();
-        let _ = cache.get_or_build(small_shape(), LayerOptions::new(2).with_tune(TuneLevel::Model));
+        let measured = LayerOptions::new(2).with_tune(TuneLevel::Measured);
+        let _ = cache.get_or_build(small_shape(), measured.clone());
         let dir = std::env::temp_dir().join("anatomy-tune-cache-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("tunes-{}.bin", std::process::id()));
@@ -485,12 +456,11 @@ mod tests {
         // a fresh cache (a daemon restart) replays the winner from disk
         let restarted = PlanCache::new();
         assert_eq!(restarted.load_tuning(&path).unwrap(), 1);
-        let plan =
-            restarted.get_or_build(small_shape(), LayerOptions::new(2).with_tune(TuneLevel::Model));
+        let plan = restarted.get_or_build(small_shape(), measured);
         let stats = restarted.stats();
         assert_eq!(stats.tune_runs, 0, "restart must not re-tune");
         assert_eq!(stats.tune_micro_runs, 0, "restart must not micro-bench");
-        assert_eq!(stats.tuned_plans, 1);
+        assert_eq!(stats.heuristic_plans, 1, "the pool-less winner replays as the heuristic");
         assert!(plan.tune_outcome().predicted_gflops > 0.0);
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,9 +1,8 @@
 //! The public layer handle: setup once, execute many times.
 //!
 //! `ConvLayer::new` runs the full setup pipeline of the paper — kernel
-//! generation (JIT), dryrun (kernel streams), backward-duality
-//! planning, and the weight-update strategy decision — and the three
-//! pass methods replay the plans. This is the object the GxM graph
+//! generation (JIT), dryrun (kernel streams) and backward-duality
+//! planning — and the three pass methods replay the plans. This is the object the GxM graph
 //! executor, the benchmarks and the examples all build on.
 
 use crate::backend::Backend;
@@ -76,8 +75,8 @@ pub struct LayerOptions {
     pub prefetch: bool,
     /// Operator fused after the forward convolution (Section II-G).
     pub fuse: FusedOp,
-    /// Machine model driving the weight-update strategy choice
-    /// (Section II-J). Defaults to the SKX model.
+    /// Machine model the autotuner ranks candidates with (and keys its
+    /// winners on). Defaults to the SKX model.
     pub machine: MachineModel,
     /// Physical padding of the input tensor (defaults to the conv's
     /// own pad; graph executors may share a larger buffer).
@@ -96,7 +95,7 @@ pub struct LayerOptions {
     /// replicas and repeated builds never re-tune the same key.
     pub tune_store: Option<TuneStore>,
     /// The thread pool `TuneLevel::Measured` micro-benches on. Must
-    /// match `threads`; without it, `Measured` degrades to `Model`.
+    /// match `threads`; without it, `Measured` degrades to `Heuristic`.
     pub pool: Option<Arc<ThreadPool>>,
     /// Numeric execution mode: `Int8` builds a [`QuantFwdPlan`]
     /// (sharing this layer's blocking, paddings and fused op) beside

@@ -17,10 +17,10 @@
 //!
 //! The backward pass reuses the forward machinery through the duality
 //! transforms of Section II-I ([`bwd`]); int16 kernels implement the
-//! reduced-precision path of Section II-K ([`quant`]); [`mod@reference`]
-//! holds the naive Algorithm 1/6/8 loop nests every engine is tested
-//! against. The blocking choice itself can escalate from the Section
-//! II-B heuristic to a model-ranked or measured search ([`tune`]).
+//! reduced-precision forward of Section II-K ([`quant`]);
+//! [`mod@reference`] holds the naive Algorithm 1/6/8 loop nests every
+//! engine is tested against. The blocking choice itself can escalate
+//! from the Section II-B heuristic to a measured search ([`tune`]).
 
 pub mod backend;
 pub mod blocking;
@@ -43,6 +43,6 @@ pub use cache::{CombinedCacheStats, FusedOpCacheStats, PlanCache, PlanCacheStats
 pub use fuse::FusedOp;
 pub use fwd::PlanRequest;
 pub use layer::{ConvLayer, LayerOptions, Precision};
-pub use quant::{QuantBwdPlan, QuantFwdPlan, QuantUpdPlan, DEFAULT_CHAIN_LIMIT};
+pub use quant::{QuantFwdPlan, DEFAULT_CHAIN_LIMIT};
 pub use tensor::ConvShape;
 pub use tune::{TuneLevel, TuneOutcome, TuneStore};

@@ -6,21 +6,19 @@
 //!
 //! * [`TuneLevel::Heuristic`] — the fixed rule, zero tuning cost (the
 //!   default);
-//! * [`TuneLevel::Model`] — enumerate every legal [`Blocking`]
-//!   candidate for the shape ([`candidates`]) and rank them with the
-//!   machine's L2 traffic model + per-core roofline
-//!   ([`predicted_gflops_core`]);
-//! * [`TuneLevel::Measured`] — micro-bench the model's top-k
-//!   candidates once on the layer's real [`ThreadPool`] (warmup run
-//!   first, so the process-wide kernel cache is warm and the timed
-//!   iterations replay pure streams), keep the empirical winner. The
-//!   heuristic blocking is always in the measured set, so a tuned
+//! * [`TuneLevel::Measured`] — enumerate every legal [`Blocking`]
+//!   candidate for the shape ([`candidates`]), preselect the top-k by
+//!   the machine's L2 traffic model + per-core roofline ([`rank`]),
+//!   micro-bench them once on the layer's real [`ThreadPool`] (warmup
+//!   run first, so the process-wide kernel cache is warm and the timed
+//!   iterations replay pure streams), and keep the empirical winner.
+//!   The heuristic blocking is always in the measured set, so a tuned
 //!   plan can never lose to the heuristic by more than timing noise.
 //!
 //! Tuning is deterministic-safe: when no pool is attached to the
 //! [`LayerOptions`], when the pool's team size differs from the plan's
 //! thread count, or when the shape is too small to time stably,
-//! `Measured` silently degrades to `Model` — CI boxes never pick
+//! `Measured` silently degrades to the heuristic — CI boxes never pick
 //! noise-driven losers.
 //!
 //! Results are deduplicated through a [`TuneStore`] keyed by
@@ -50,26 +48,23 @@ pub enum TuneLevel {
     /// The fixed [`crate::blocking::choose`] rule — no search.
     #[default]
     Heuristic,
-    /// Enumerate all legal candidates, rank by predicted GFLOPS
-    /// (traffic model + roofline), keep the best-predicted.
-    Model,
-    /// Rank as `Model`, then micro-bench the top-k (plus the
-    /// heuristic) once on the layer's pool and keep the winner.
+    /// Rank all legal candidates by predicted GFLOPS (traffic model +
+    /// roofline), then micro-bench the top-k (plus the heuristic) once
+    /// on the layer's pool and keep the winner.
     Measured,
 }
 
 impl TuneLevel {
-    /// Parse a level name (`heuristic`/`off`/`none`/`0`, `model`,
-    /// `measured`), case-insensitively.
+    /// Parse a level name (`heuristic`/`off`/`none`/`0`, `measured`),
+    /// case-insensitively.
     ///
     /// # Errors
     /// The unrecognized input, for the caller's error message.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
             "heuristic" | "off" | "none" | "0" => Ok(Self::Heuristic),
-            "model" => Ok(Self::Model),
             "measured" => Ok(Self::Measured),
-            other => Err(format!("unknown tune level '{other}' (want off|model|measured)")),
+            other => Err(format!("unknown tune level '{other}' (want off|measured)")),
         }
     }
 
@@ -83,15 +78,15 @@ impl TuneLevel {
     pub fn name(&self) -> &'static str {
         match self {
             Self::Heuristic => "heuristic",
-            Self::Model => "model",
             Self::Measured => "measured",
         }
     }
 
+    // the on-disk level byte; 1 belonged to a retired model-ranked
+    // level, so files from before its removal are rejected, not misread
     fn as_u8(self) -> u8 {
         match self {
             Self::Heuristic => 0,
-            Self::Model => 1,
             Self::Measured => 2,
         }
     }
@@ -99,7 +94,6 @@ impl TuneLevel {
     fn from_u8(b: u8) -> Option<Self> {
         match b {
             0 => Some(Self::Heuristic),
-            1 => Some(Self::Model),
             2 => Some(Self::Measured),
             _ => None,
         }
@@ -110,7 +104,7 @@ impl TuneLevel {
 #[derive(Clone, Copy, Debug)]
 pub struct TuneOutcome {
     /// The level that actually produced the blocking (a `Measured`
-    /// request that could not be timed stably reports `Model` here).
+    /// request that could not be timed stably reports `Heuristic` here).
     pub level: TuneLevel,
     /// The winning blocking the plans were built with.
     pub blocking: Blocking,
@@ -175,7 +169,8 @@ pub fn predicted_gflops_core(m: &MachineModel, shape: &ConvShape, b: &Blocking) 
     machine::attainable_gflops_core(m, t.oi_read(), t.oi_write())
 }
 
-/// All candidates for `shape`, ranked best-predicted first. Ties break
+/// All candidates for `shape`, ranked best-predicted first — the
+/// preselection of the top-k that `Measured` times. Ties break
 /// deterministically towards exact tiling (no remainder tiles), more
 /// accumulation chains, then wider `rbq` — so equal-scoring candidates
 /// rank the same on every run and every machine.
@@ -206,7 +201,7 @@ const TUNE_WARMUP: usize = 1;
 /// bounded and identical across runs.
 const TUNE_ITERS: usize = 4;
 /// A warmup replay faster than this cannot be timed stably at the
-/// fixed budget; `Measured` falls back to the model ranking.
+/// fixed budget; `Measured` falls back to the heuristic.
 const MIN_STABLE_SECS: f64 = 20e-6;
 /// How much faster a measured candidate must be to displace the
 /// heuristic — ties and within-noise wins go to the known-good rule,
@@ -248,7 +243,7 @@ fn micro_bench(
             plan.run(pool, &input, &weights, &mut output, &ctx);
             if t0.elapsed().as_secs_f64() < MIN_STABLE_SECS {
                 // too fast to time at the fixed budget — noise would
-                // pick the winner; let the model decide instead
+                // pick the winner; keep the heuristic instead
                 return None;
             }
         }
@@ -282,26 +277,12 @@ fn heuristic_outcome(shape: &ConvShape, opts: &LayerOptions) -> TuneOutcome {
     }
 }
 
-/// One full tuning run at `opts.tune` (no store consulted). Returns
-/// the outcome and the number of micro-bench candidate runs performed.
+/// One full `Measured` tuning run (no store consulted). Returns the
+/// outcome and the number of micro-bench candidate runs performed.
 fn tune_once(shape: &ConvShape, opts: &LayerOptions) -> (TuneOutcome, usize) {
     let t0 = Instant::now();
     let ranked = rank(&opts.machine, shape);
-    let n_cand = ranked.len();
     debug_assert!(!ranked.is_empty(), "candidate space is never empty");
-    let threads = opts.threads as f64;
-    let model_winner = ranked[0].0;
-    let model_outcome = |tune_ms: f64| TuneOutcome {
-        level: TuneLevel::Model,
-        blocking: model_winner,
-        predicted_gflops: ranked[0].1 * threads,
-        measured_gflops: None,
-        candidates: n_cand,
-        tune_ms,
-    };
-    if opts.tune != TuneLevel::Measured {
-        return (model_outcome(t0.elapsed().as_secs_f64() * 1e3), 0);
-    }
     let mut topk: Vec<Blocking> = ranked.iter().take(TOP_K).map(|(b, _)| *b).collect();
     let h = blocking::choose(shape);
     if !topk.contains(&h) {
@@ -310,43 +291,33 @@ fn tune_once(shape: &ConvShape, opts: &LayerOptions) -> (TuneOutcome, usize) {
         topk.push(h);
     }
     let measured = opts.pool.as_deref().and_then(|pool| micro_bench(shape, opts, pool, &topk));
-    match measured {
-        None => (model_outcome(t0.elapsed().as_secs_f64() * 1e3), 0),
-        Some(results) => {
-            let micro_runs = results.len();
-            let &(best, best_gf) = results
-                .iter()
-                .max_by(|(_, a), (_, b)| a.total_cmp(b))
-                .expect("top-k is never empty");
-            // a candidate must beat the heuristic by a real margin to
-            // displace it: within-noise "wins" keep the known rule, so
-            // a measured plan is never slower than the heuristic
-            // beyond timing noise
-            let h_gf = results.iter().find(|(b, _)| *b == h).map_or(0.0, |&(_, gf)| gf);
-            let (winner, gf) = if best == h || best_gf >= h_gf * MEASURED_MARGIN {
-                (best, best_gf)
-            } else {
-                (h, h_gf)
-            };
-            let predicted = predicted_gflops_core(&opts.machine, shape, &winner) * threads;
-            (
-                TuneOutcome {
-                    level: TuneLevel::Measured,
-                    blocking: winner,
-                    predicted_gflops: predicted,
-                    measured_gflops: Some(gf),
-                    candidates: n_cand,
-                    tune_ms: t0.elapsed().as_secs_f64() * 1e3,
-                },
-                micro_runs,
-            )
-        }
-    }
+    let Some(results) = measured else {
+        let tune_ms = t0.elapsed().as_secs_f64() * 1e3;
+        return (TuneOutcome { tune_ms, ..heuristic_outcome(shape, opts) }, 0);
+    };
+    let &(best, best_gf) =
+        results.iter().max_by(|(_, a), (_, b)| a.total_cmp(b)).expect("top-k is never empty");
+    // a candidate must beat the heuristic by a real margin to displace
+    // it: within-noise "wins" keep the known rule, so a measured plan
+    // is never slower than the heuristic beyond timing noise
+    let h_gf = results.iter().find(|(b, _)| *b == h).map_or(0.0, |&(_, gf)| gf);
+    let (winner, gf) =
+        if best == h || best_gf >= h_gf * MEASURED_MARGIN { (best, best_gf) } else { (h, h_gf) };
+    let outcome = TuneOutcome {
+        level: TuneLevel::Measured,
+        blocking: winner,
+        predicted_gflops: predicted_gflops_core(&opts.machine, shape, &winner)
+            * opts.threads as f64,
+        measured_gflops: Some(gf),
+        candidates: ranked.len(),
+        tune_ms: t0.elapsed().as_secs_f64() * 1e3,
+    };
+    (outcome, results.len())
 }
 
 /// Resolve the blocking for a layer being built: the single entry
 /// point [`crate::ConvLayer::new`] calls. `Heuristic` is a fast path;
-/// `Model`/`Measured` go through the options' [`TuneStore`] when one
+/// `Measured` goes through the options' [`TuneStore`] when one
 /// is attached (the [`crate::cache::PlanCache`] attaches its own), so
 /// one `(shape, machine, level)` tunes at most once per store.
 pub(crate) fn resolve(shape: &ConvShape, opts: &LayerOptions) -> TuneOutcome {
@@ -459,7 +430,7 @@ impl TuneStore {
                 level: if e.measured_gflops.is_some() {
                     TuneLevel::Measured
                 } else {
-                    TuneLevel::Model
+                    TuneLevel::Heuristic
                 },
                 blocking: e.blocking,
                 predicted_gflops: e.predicted_gflops,
@@ -692,45 +663,44 @@ mod tests {
     }
 
     #[test]
-    fn measured_without_a_pool_degrades_to_model() {
+    fn measured_without_a_pool_degrades_to_the_heuristic() {
         let shape = ConvShape::new(1, 16, 16, 6, 6, 3, 3, 1, 1);
         let opts = opts_at(TuneLevel::Measured, 2);
         let (outcome, micro) = tune_once(&shape, &opts);
-        assert_eq!(outcome.level, TuneLevel::Model);
+        assert_eq!(outcome.level, TuneLevel::Heuristic);
+        assert_eq!(outcome.blocking, blocking::choose(&shape));
         assert_eq!(micro, 0);
         assert!(outcome.measured_gflops.is_none());
         assert!(outcome.predicted_gflops > 0.0);
     }
 
     #[test]
-    fn measured_with_a_mismatched_pool_degrades_to_model() {
+    fn measured_with_a_mismatched_pool_degrades_to_the_heuristic() {
         let shape = ConvShape::new(1, 16, 16, 6, 6, 3, 3, 1, 1);
         let pool = Arc::new(ThreadPool::new(1));
         let opts = opts_at(TuneLevel::Measured, 2).with_pool(pool);
         let (outcome, _) = tune_once(&shape, &opts);
-        assert_eq!(outcome.level, TuneLevel::Model);
+        assert_eq!(outcome.level, TuneLevel::Heuristic);
     }
 
     #[test]
     fn store_tunes_each_key_once() {
         let store = TuneStore::new();
         let shape = ConvShape::new(1, 16, 16, 6, 6, 3, 3, 1, 1);
-        let opts = opts_at(TuneLevel::Model, 2).with_tune_store(store.clone());
+        let opts = opts_at(TuneLevel::Measured, 2).with_tune_store(store.clone());
         let a = resolve(&shape, &opts);
         let b = resolve(&shape, &opts);
         assert_eq!(store.tune_runs(), 1, "second resolve must hit the memo");
         assert_eq!(a.blocking, b.blocking);
         assert_eq!(b.tune_ms, 0.0, "store hits report zero tune time");
-        // a different level is a different key
-        let opts_m = opts_at(TuneLevel::Measured, 2).with_tune_store(store.clone());
-        let _ = resolve(&shape, &opts_m);
-        assert_eq!(store.tune_runs(), 2);
+        // a hit without measured GFLOPS reports the heuristic it replays
+        assert_eq!(b.level, TuneLevel::Heuristic);
         // a different machine fingerprint is a different key
-        let mut opts_knm = opts_at(TuneLevel::Model, 2).with_tune_store(store.clone());
+        let mut opts_knm = opts_at(TuneLevel::Measured, 2).with_tune_store(store.clone());
         opts_knm.machine = MachineModel::knm();
         let _ = resolve(&shape, &opts_knm);
-        assert_eq!(store.tune_runs(), 3);
-        assert_eq!(store.len(), 3);
+        assert_eq!(store.tune_runs(), 2);
+        assert_eq!(store.len(), 2);
     }
 
     #[test]
@@ -741,7 +711,7 @@ mod tests {
             ConvShape::new(1, 32, 16, 8, 8, 1, 1, 1, 0),
         ];
         for s in &shapes {
-            let opts = opts_at(TuneLevel::Model, 2).with_tune_store(store.clone());
+            let opts = opts_at(TuneLevel::Measured, 2).with_tune_store(store.clone());
             let _ = resolve(s, &opts);
         }
         let bytes = store.to_bytes();
@@ -750,10 +720,10 @@ mod tests {
         assert_eq!(restored.len(), 2);
         // restored winners replay without any tuning run
         for s in &shapes {
-            let opts = opts_at(TuneLevel::Model, 2).with_tune_store(restored.clone());
+            let opts = opts_at(TuneLevel::Measured, 2).with_tune_store(restored.clone());
             let out = resolve(s, &opts);
             let fp = opts.machine.fingerprint();
-            assert_eq!(out.blocking, store.get(s, fp, TuneLevel::Model).unwrap().blocking);
+            assert_eq!(out.blocking, store.get(s, fp, TuneLevel::Measured).unwrap().blocking);
         }
         assert_eq!(restored.tune_runs(), 0);
         assert_eq!(restored.micro_bench_runs(), 0);
@@ -764,7 +734,7 @@ mod tests {
     #[test]
     fn hostile_tuning_files_are_errors_not_panics() {
         let store = TuneStore::new();
-        let opts = opts_at(TuneLevel::Model, 2).with_tune_store(store.clone());
+        let opts = opts_at(TuneLevel::Measured, 2).with_tune_store(store.clone());
         let _ = resolve(&ConvShape::new(1, 16, 16, 6, 6, 3, 3, 1, 1), &opts);
         let good = store.to_bytes();
 
@@ -785,6 +755,11 @@ mod tests {
         let rbp_off = 12 + 9 * 4 + 8 + 1;
         bad[rbp_off..rbp_off + 4].copy_from_slice(&1000u32.to_le_bytes());
         assert!(fresh().merge_bytes(&bad).is_err());
+        // level byte 1 (the retired model-ranked level) is unknown
+        let mut bad = good.clone();
+        bad[rbp_off - 1] = 1;
+        let err = fresh().merge_bytes(&bad).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // trailing garbage
         let mut bad = good.clone();
         bad.push(0);
@@ -794,10 +769,11 @@ mod tests {
     #[test]
     fn tune_level_parsing() {
         assert_eq!(TuneLevel::parse("off").unwrap(), TuneLevel::Heuristic);
-        assert_eq!(TuneLevel::parse("Model").unwrap(), TuneLevel::Model);
         assert_eq!(TuneLevel::parse("MEASURED").unwrap(), TuneLevel::Measured);
         assert!(TuneLevel::parse("fastest").is_err());
-        for level in [TuneLevel::Heuristic, TuneLevel::Model, TuneLevel::Measured] {
+        let err = TuneLevel::parse("model").unwrap_err();
+        assert!(err.contains("off|measured"), "{err}");
+        for level in [TuneLevel::Heuristic, TuneLevel::Measured] {
             assert_eq!(TuneLevel::parse(level.name()).unwrap(), level);
             assert_eq!(TuneLevel::from_u8(level.as_u8()), Some(level));
         }

@@ -1584,6 +1584,8 @@ impl Network {
             LayerState::Conv { .. } => {
                 let (b0, mut bot, own) = self.take_io(node);
                 let mut res = self.take_residual(node, b0);
+                // nothing reads the network input's gradient
+                let needs_di = self.alias[b0] != self.input_node;
                 let LayerState::Conv { layer, w, bias, relu, eltwise, train, .. } =
                     &mut self.layers[node]
                 else {
@@ -1627,8 +1629,10 @@ impl Network {
                     }
                 }
                 // dI then accumulate into the bottom's gradient
-                layer.backward(&self.pool, &ts.dout_masked, w, &mut ts.di_scratch);
-                ops::accumulate(&self.pool, bot.grad.as_mut().unwrap(), &ts.di_scratch);
+                if needs_di {
+                    layer.backward(&self.pool, &ts.dout_masked, w, &mut ts.di_scratch);
+                    ops::accumulate(&self.pool, bot.grad.as_mut().unwrap(), &ts.di_scratch);
+                }
                 if let Some((b1, r)) = res {
                     self.put_blob(b1, r);
                 }

@@ -179,9 +179,9 @@ impl InferenceSession {
     }
 
     /// [`Self::with_shared`] with the plan-time decisions explicit.
-    /// Every convolution's blocking is chosen at `tune` level
-    /// (model-ranked search, optionally micro-bench-measured on
-    /// `pool`), with winners memoized in `cache` so replicas and
+    /// Every convolution's blocking is chosen at `tune` level (the
+    /// heuristic, or a micro-bench-measured search on `pool`), with
+    /// winners memoized in `cache` so replicas and
     /// repeated builds never re-tune (see [`conv::tune`]). At
     /// [`Precision::Int8`] every convolution whose input range is
     /// derivable (from folded-BN statistics, or measured via
